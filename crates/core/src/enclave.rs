@@ -6,7 +6,7 @@
 //! check it against quotes.
 
 use acctee_instrument::{instrument, Level, WeightTable};
-use acctee_interp::{Config, Imports, Instance, Observer, Value};
+use acctee_interp::{Accounting, Config, Imports, Instance, InstrWeights, Observer, Value};
 use acctee_sgx::crypto::{sha256, Digest};
 use acctee_sgx::enclave::report_data;
 use acctee_sgx::{Enclave, Measurement, Platform, QuotingEnclave};
@@ -151,6 +151,9 @@ pub struct LoadedWorkload {
     module: Module,
     module_hash: Digest,
     counter_global: u32,
+    /// The loading enclave's weights, which the artifact's weighted
+    /// cost column is summed from.
+    weights: InstrWeights,
     /// Compile-once/serve-many bytecode artifact, built lazily on the
     /// first bytecode-engine execution and shared by every later one
     /// (`None` inside = compilation failed; executions fall back to
@@ -172,7 +175,8 @@ impl LoadedWorkload {
                     .metrics()
                     .counter("acctee_artifact_compiles_total")
                     .inc();
-                acctee_interp::CompiledModule::compile(&self.module).ok()
+                acctee_interp::CompiledModule::compile_weighted(&self.module, self.weights.clone())
+                    .ok()
             })
             .clone()
     }
@@ -189,11 +193,20 @@ pub struct ExecutionOutcome {
     pub log: SignedLog,
 }
 
-/// Observer computing the memory integral ∫ mem d(wic) alongside the
-/// execution (the [`crate::log::MemoryPolicy::Integral`] policy).
+/// Observer computing the memory integral (the
+/// [`crate::log::MemoryPolicy::Integral`] policy): every executed
+/// instruction adds its weight times the linear-memory size it ran at.
+///
+/// The size only changes at `memory.grow`, so the integral is settled
+/// in batches: Σ over the intervals between grows of (weighted
+/// instructions in the interval) × (memory size during it). The
+/// register tier delivers exactly those sums, settled through each
+/// grow before its size change; the other engines deliver the
+/// per-instruction stream. Both give the same integer.
 struct MemoryIntegral<'w> {
     weights: &'w WeightTable,
-    wic: u64,
+    /// Fingerprint of `weights` ([`InstrWeights::key`]).
+    key: [u8; 32],
     cur_mem: u64,
     integral: u128,
 }
@@ -201,12 +214,23 @@ struct MemoryIntegral<'w> {
 impl Observer for MemoryIntegral<'_> {
     fn on_instr(&mut self, instr: &Instr) {
         let w = self.weights.weight(instr);
-        self.wic += w;
         self.integral += u128::from(w) * u128::from(self.cur_mem);
+    }
+
+    fn on_block(&mut self, _instrs: u64, weighted: u64) {
+        self.integral += u128::from(weighted) * u128::from(self.cur_mem);
     }
 
     fn on_mem_grow(&mut self, new_size_bytes: usize) {
         self.cur_mem = new_size_bytes as u64;
+    }
+
+    fn accounting(&self) -> Accounting {
+        Accounting::Batched
+    }
+
+    fn block_weights(&self) -> Option<[u8; 32]> {
+        Some(self.key)
     }
 }
 
@@ -216,6 +240,9 @@ pub struct AccountingEnclave {
     enclave: Enclave,
     qe: QuotingEnclave,
     weights: WeightTable,
+    /// `weights` for the interpreter, keyed by their hash (the hash
+    /// every evidence must carry).
+    instr_weights: InstrWeights,
     expected_ie: Measurement,
     /// Interpreter limits applied to workloads.
     pub exec_config: Config,
@@ -237,10 +264,14 @@ impl AccountingEnclave {
         expected_ie: Measurement,
     ) -> Self {
         let enclave = platform.create_enclave(&ae_code(&weights));
+        let table = weights.clone();
+        let instr_weights =
+            InstrWeights::new(sha256(&weights.to_bytes()), move |i| table.weight(i));
         AccountingEnclave {
             enclave,
             qe,
             weights,
+            instr_weights,
             expected_ie,
             exec_config: Config::default(),
         }
@@ -332,7 +363,7 @@ impl AccountingEnclave {
                 "module bytes do not match evidence".into(),
             ));
         }
-        if sha256(&self.weights.to_bytes()) != evidence.weight_hash {
+        if self.instr_weights.key() != evidence.weight_hash {
             return Err(AccTeeError::EvidenceMismatch(
                 "weight table differs from attested environment".into(),
             ));
@@ -343,6 +374,7 @@ impl AccountingEnclave {
             module,
             module_hash,
             counter_global: evidence.counter_global,
+            weights: self.instr_weights.clone(),
             artifact: std::sync::OnceLock::new(),
         })
     }
@@ -387,11 +419,13 @@ impl AccountingEnclave {
         };
         let mut integral = MemoryIntegral {
             weights: &self.weights,
-            wic: 0,
+            key: self.instr_weights.key(),
             cur_mem: instance.memory().map_or(0, |m| m.size_bytes() as u64),
             integral: 0,
         };
-        let results = instance.invoke_observed(func, args, &mut integral)?;
+        let results = instance.invoke_observed(func, args, &mut integral);
+        span.record_arg("tier", instance.ran_on().name());
+        let results = results?;
         let counter = instance
             .global_by_index(workload.counter_global)
             .map_or(0, |v| v.as_i64() as u64);

@@ -42,7 +42,7 @@ use acctee_wasm::types::ValType;
 
 use crate::exec::{load_value, store_value, Instance};
 use crate::numslot::{exec_num_slot, slot_to_value, value_to_slot};
-use crate::observer::{Accounting, Observer};
+use crate::observer::{Accounting, InstrWeights, Observer};
 use crate::trap::Trap;
 use crate::value::Value;
 
@@ -244,6 +244,10 @@ pub struct CompiledModule {
     pub(crate) canon_of_func: Vec<u32>,
     /// Number of imported (host) functions.
     pub(crate) n_imported: u32,
+    /// The weights the register tier's weighted cost column is summed
+    /// from (`None`: unit weights, and no observer's
+    /// [`Observer::block_weights`] is served batched).
+    pub(crate) weights: Option<InstrWeights>,
     /// The register-tier code, built lazily on the first `regs`-engine
     /// invoke and shared by every instance holding this artifact
     /// (compile-once/serve-many extends to the register tier for
@@ -261,6 +265,28 @@ impl CompiledModule {
     /// validated input, as the lazy path does).
     pub fn compile(module: &Module) -> Result<Arc<CompiledModule>, Trap> {
         crate::compile::compile_module(module).map(Arc::new)
+    }
+
+    /// Compiles `module` into an artifact whose register-tier code
+    /// also carries prefix sums of `weights`, so an observer declaring
+    /// the same [`InstrWeights::key`] as its [`Observer::block_weights`]
+    /// runs batched on the register tier.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledModule::compile`].
+    pub fn compile_weighted(
+        module: &Module,
+        weights: InstrWeights,
+    ) -> Result<Arc<CompiledModule>, Trap> {
+        let mut c = crate::compile::compile_module(module)?;
+        c.weights = Some(weights);
+        Ok(Arc::new(c))
+    }
+
+    /// The fingerprint of the weights this artifact was compiled with.
+    pub(crate) fn weights_key(&self) -> Option<[u8; 32]> {
+        self.weights.as_ref().map(InstrWeights::key)
     }
 
     /// Whether this artifact plausibly belongs to `module`: the
@@ -353,7 +379,10 @@ impl<'m> Instance<'m> {
         bufs.stack.clear();
         bufs.locals.clear();
         bufs.frames.clear();
-        let batched = observer.accounting() == Accounting::Batched;
+        // This engine sums no weights, so an observer that reads them
+        // gets the exact per-instruction stream instead.
+        let batched =
+            observer.accounting() == Accounting::Batched && observer.block_weights().is_none();
         let result = match (batched, self.fuel.is_some()) {
             (true, false) => {
                 self.run_flat::<O, false, false>(&compiled, idx, args, &mut bufs, observer)
@@ -437,7 +466,7 @@ impl<'m> Instance<'m> {
                     let c = cf.fast_cost_prefix[pc + 1] - cf.fast_cost_prefix[seg_start];
                     if c != 0 {
                         instrs += u64::from(c);
-                        observer.on_block(u64::from(c));
+                        observer.on_block(u64::from(c), u64::from(c));
                     }
                 }
             };
@@ -576,7 +605,7 @@ impl<'m> Instance<'m> {
                     if OBSERVE {
                         observer.on_instr(si);
                     } else {
-                        observer.on_block(1);
+                        observer.on_block(1, 1);
                     }
                 }
             }

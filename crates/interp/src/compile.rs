@@ -107,6 +107,7 @@ pub(crate) fn compile_module(module: &Module) -> Result<CompiledModule, Trap> {
         params_ty,
         canon_of_func,
         n_imported: module.num_imported_funcs(),
+        weights: None,
         regs: std::sync::OnceLock::new(),
     })
 }

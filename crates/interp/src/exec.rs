@@ -43,7 +43,8 @@ pub enum Engine {
     /// proven bounds-check elimination and inline caches for
     /// `call_indirect`. The fastest tier; fueled or
     /// per-instruction-observed invokes transparently run on the flat
-    /// engine (identical semantics, exact per-op bookkeeping).
+    /// engine (identical semantics, exact per-op bookkeeping; see
+    /// [`Instance::ran_on`]).
     Regs,
 }
 
@@ -149,6 +150,8 @@ pub struct Instance<'m> {
     pub(crate) table: Vec<Option<u32>>,
     pub(crate) host_funcs: Vec<Option<HostFunc>>,
     pub(crate) config: Config,
+    /// The engine that ran the latest invoke (see [`Instance::ran_on`]).
+    pub(crate) ran_on: Engine,
     pub(crate) fuel: Option<u64>,
     /// Wall-clock instant after which execution traps, set per invoke
     /// from [`Config::time_budget`].
@@ -293,6 +296,7 @@ impl<'m> Instance<'m> {
             table: Vec::new(),
             host_funcs,
             config,
+            ran_on: config.engine,
             fuel: config.fuel,
             deadline: None,
             deadline_ticks: 0,
@@ -386,6 +390,7 @@ impl<'m> Instance<'m> {
             .time_budget
             .map(|b| std::time::Instant::now() + b);
         self.deadline_ticks = 0;
+        self.ran_on = self.config.engine;
         // Hoist the null-observer check out of the dispatch loops:
         // a `NullObserver` (or equivalent) invoke runs the
         // monomorphised loop where every observer call compiles away.
@@ -427,6 +432,13 @@ impl<'m> Instance<'m> {
     /// request payloads).
     pub fn memory_mut(&mut self) -> Option<&mut Memory> {
         self.memory.as_mut()
+    }
+
+    /// The engine that actually ran the latest invoke: the configured
+    /// one, except that a [`Engine::Regs`] invoke the register tier
+    /// deopted reads [`Engine::Bytecode`].
+    pub fn ran_on(&self) -> Engine {
+        self.ran_on
     }
 
     /// Execution statistics accumulated so far.

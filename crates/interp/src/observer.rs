@@ -5,13 +5,15 @@
 //! counter is validated, and the event stream that drives the
 //! cycle-cost model in `acctee-cachesim`.
 
+use std::sync::Arc;
+
 use acctee_wasm::instr::Instr;
 
 /// How an observer wants instruction events delivered.
 ///
-/// The flat-bytecode engine asks the attached observer once per
-/// invocation and picks a dispatch loop accordingly; the tree-walker
-/// always delivers the exact per-instruction stream.
+/// The compiled engines ask the attached observer once per invocation
+/// and pick a dispatch loop accordingly; the tree-walker always
+/// delivers the exact per-instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Accounting {
     /// One [`Observer::on_instr`] per executed instruction, plus the
@@ -19,13 +21,60 @@ pub enum Accounting {
     /// profilers and the cache model.
     #[default]
     PerInstr,
-    /// Fused counting: the engine may coalesce a straight-line run of
-    /// instructions into a single [`Observer::on_block`] delivery and
-    /// skip `on_instr`, `on_mem_access`, `on_call` and `on_return`
-    /// entirely. The delivered totals still sum to the exact
-    /// instruction count, including partially executed blocks on a
-    /// trap.
+    /// Fused counting: the engine may coalesce any number of executed
+    /// instructions into one [`Observer::on_block`] delivery and skip
+    /// `on_instr`, `on_mem_access`, `on_call` and `on_return`
+    /// entirely. The delivered totals sum to the exact instruction
+    /// count, including partially executed blocks on a trap, and
+    /// everything is delivered before the invoke returns or traps.
+    ///
+    /// An observer that declares [`Observer::block_weights`] is also
+    /// promised that no batch spans a `memory.grow`: everything up to
+    /// and including the grow is delivered before its
+    /// [`Observer::on_mem_grow`]. That is what makes a quantity whose
+    /// rate depends on the memory size (the memory integral) exact.
     Batched,
+}
+
+/// Per-instruction weights, identified by a caller-chosen fingerprint
+/// (typically a digest of the weight table they come from).
+///
+/// A compiled artifact built with weights
+/// ([`crate::CompiledModule::compile_weighted`]) carries their prefix
+/// sums next to its instruction counts, so the register tier can hand
+/// a [`Observer::block_weights`] observer the exact weighted sum of a
+/// batch without looking at a single instruction at run time.
+#[derive(Clone)]
+pub struct InstrWeights {
+    key: [u8; 32],
+    weight: Arc<dyn Fn(&Instr) -> u64 + Send + Sync>,
+}
+
+impl InstrWeights {
+    /// Weights `weight`, identified by `key`. Two `InstrWeights` with
+    /// the same key must weigh every instruction alike.
+    pub fn new(key: [u8; 32], weight: impl Fn(&Instr) -> u64 + Send + Sync + 'static) -> Self {
+        InstrWeights {
+            key,
+            weight: Arc::new(weight),
+        }
+    }
+
+    /// The fingerprint these weights were registered under.
+    pub fn key(&self) -> [u8; 32] {
+        self.key
+    }
+
+    /// The weight of one executed instruction.
+    pub(crate) fn weight(&self, instr: &Instr) -> u64 {
+        (self.weight)(instr)
+    }
+}
+
+impl std::fmt::Debug for InstrWeights {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "InstrWeights({:02x?}..)", &self.key[..4])
+    }
 }
 
 /// A hook invoked by the interpreter during execution.
@@ -60,15 +109,29 @@ pub trait Observer {
 
     /// The delivery mode this observer needs. Defaults to the exact
     /// per-instruction stream; override to [`Accounting::Batched`] to
-    /// let the bytecode engine fuse counter updates per basic block.
+    /// let the compiled engines fuse counter updates.
     fn accounting(&self) -> Accounting {
         Accounting::PerInstr
     }
 
-    /// Called with a fused instruction count for a straight-line run,
-    /// only when [`Observer::accounting`] returned
-    /// [`Accounting::Batched`].
-    fn on_block(&mut self, _instrs: u64) {}
+    /// The fingerprint ([`InstrWeights::key`]) of the weights whose
+    /// sums this observer reads from [`Observer::on_block`]'s
+    /// `weighted` argument. `None` (the default): it reads only
+    /// `instrs`. An engine that cannot sum exactly these weights — the
+    /// flat engine, or the register tier on an artifact built with
+    /// other weights or none — delivers the per-instruction stream
+    /// instead, so `weighted` is never approximated.
+    fn block_weights(&self) -> Option<[u8; 32]> {
+        None
+    }
+
+    /// Called with a coalesced batch of executed instructions, only
+    /// when [`Observer::accounting`] returned [`Accounting::Batched`]
+    /// (see there for when batches are settled). `instrs` is their
+    /// count; `weighted` is their summed weight under
+    /// [`Observer::block_weights`], and is meaningless for an
+    /// observer that declares no weights.
+    fn on_block(&mut self, _instrs: u64, _weighted: u64) {}
 
     /// Whether this observer ignores every event ([`NullObserver`]).
     ///
@@ -99,11 +162,11 @@ impl Observer for NullObserver {
 
 /// A unit-weight instruction counter that opts in to batched delivery.
 ///
-/// Under the bytecode engine this receives one [`Observer::on_block`]
-/// per straight-line segment instead of one [`Observer::on_instr`] per
-/// instruction; under the tree-walker it counts per instruction. The
-/// final count is identical either way (the differential suite pins
-/// this down).
+/// Under the compiled engines this receives coalesced
+/// [`Observer::on_block`] batches instead of one [`Observer::on_instr`]
+/// per instruction; under the tree-walker it counts per instruction.
+/// The final count is identical either way (the differential suite
+/// pins this down).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BatchedCounter {
     /// Total instructions counted.
@@ -115,7 +178,7 @@ impl Observer for BatchedCounter {
         self.count += 1;
     }
 
-    fn on_block(&mut self, instrs: u64) {
+    fn on_block(&mut self, instrs: u64, _weighted: u64) {
         self.count += instrs;
     }
 

@@ -25,13 +25,17 @@
 //! without dataflow analysis.
 //!
 //! Accounting is *pending-cost*: source instructions that compile to
-//! nothing accumulate in a pending counter that the next emitted op
-//! absorbs into its cost; [`crate::regs::RegFunc::cost_prefix`] then
-//! reproduces the tree-walker's exact instruction counts per segment.
-//! Ops that only exist in the lowering (register moves, else-skip
-//! jumps, the epilogue return) cost 0. A trap can only exit on the op
-//! that carries the trapping source instruction's cost, so partial
-//! segments account exactly like the oracle.
+//! nothing accumulate in a pending counter (count and weight) that the
+//! next emitted op absorbs into its cost;
+//! [`crate::regs::RegFunc::cost_prefix`] then reproduces the
+//! tree-walker's exact instruction counts and weighted sums per
+//! segment. Ops that only exist in the lowering (register moves,
+//! else-skip jumps, the epilogue return) cost 0. A trap can only exit
+//! on the op that carries the trapping source instruction's cost, so
+//! partial segments account exactly like the oracle; a `memory.grow`
+//! op carries only instructions up to and including the grow, so a
+//! settlement at the grow splits the weighted sum exactly where the
+//! memory size changes.
 //!
 //! Loops whose body [`acctee_wasm::rangeproof::prove_loop`] can prove
 //! in-bounds are compiled *twice* — a checked and an unchecked copy
@@ -47,6 +51,7 @@ use acctee_wasm::rangeproof::{prove_loop, LoopBound};
 use acctee_wasm::types::FuncType;
 
 use crate::numslot::enc;
+use crate::observer::InstrWeights;
 use crate::regs::{
     bin_handlers, bin_try_handler, ctl, load_handlers, store_handlers, un_handlers, un_try_handler,
     Handler, RegAccess, RegBound, RegBrTable, RegFunc, RegGuard, RegModule, RegOp, SegPrefix,
@@ -62,7 +67,10 @@ fn bad(what: &str) -> Trap {
 /// An `Err` is a *decline*, not a failure: the engine falls back to
 /// the flat tier for the whole module (e.g. a function needing more
 /// than 65536 registers).
-pub(crate) fn compile_regs(module: &Module) -> Result<RegModule, Trap> {
+pub(crate) fn compile_regs(
+    module: &Module,
+    weights: Option<&InstrWeights>,
+) -> Result<RegModule, Trap> {
     // Canonical type ids, recomputed to keep this pass independent of
     // the flat artifact's internals.
     let mut type_canon = Vec::with_capacity(module.types.len());
@@ -101,6 +109,7 @@ pub(crate) fn compile_regs(module: &Module) -> Result<RegModule, Trap> {
             has_memory,
             next_ic,
         );
+        c.weights = weights;
         c.body(&f.body, None)?;
         funcs.push(c.finish(ty, &mut next_ic)?);
     }
@@ -186,7 +195,7 @@ struct FnRegCompiler<'m> {
     func_ty_idx: &'m [u32],
     code: Vec<RegOp>,
     /// Per-op source-instruction cost (prefix-summed in `finish`).
-    cost: Vec<u32>,
+    cost: Vec<Cost>,
     /// Per-op (loads, stores) — 1 on memory-access ops, 0 elsewhere —
     /// folded into the same prefix so the VM never touches a stat
     /// counter on the access path.
@@ -206,11 +215,36 @@ struct FnRegCompiler<'m> {
     /// dead and skipped.
     unreachable: bool,
     /// Source instructions awaiting an op to carry their cost.
-    pending: u32,
+    pending: Cost,
+    /// The weights of the weighted cost column (`None`: unit).
+    weights: Option<&'m InstrWeights>,
     cand: Option<Cand>,
     has_memory: bool,
     /// Next module-wide inline-cache slot (seeded per function).
     next_ic: u32,
+}
+
+/// The accounting cost an op carries: source instructions and their
+/// summed weight.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cost {
+    instrs: u32,
+    weighted: u64,
+}
+
+impl Cost {
+    /// Synthetic ops (moves, else-skip jumps, the epilogue return).
+    const FREE: Cost = Cost {
+        instrs: 0,
+        weighted: 0,
+    };
+}
+
+impl std::ops::AddAssign for Cost {
+    fn add_assign(&mut self, o: Cost) {
+        self.instrs += o.instrs;
+        self.weighted += o.weighted;
+    }
 }
 
 fn mk(handler: Handler) -> RegOp {
@@ -250,7 +284,8 @@ impl<'m> FnRegCompiler<'m> {
             n_results: ty.results.len() as u16,
             max_height: 0,
             unreachable: false,
-            pending: 0,
+            pending: Cost::FREE,
+            weights: None,
             cand: None,
             has_memory,
             next_ic: ic_base,
@@ -281,7 +316,13 @@ impl<'m> FnRegCompiler<'m> {
         Ok(())
     }
 
-    fn emit(&mut self, op: RegOp, cost: u32) -> usize {
+    /// Charges one source instruction to the pending cost.
+    fn charge(&mut self, instr: &Instr) {
+        self.pending.instrs += 1;
+        self.pending.weighted += self.weights.map_or(1, |w| w.weight(instr));
+    }
+
+    fn emit(&mut self, op: RegOp, cost: Cost) -> usize {
         self.code.push(op);
         self.cost.push(cost);
         self.mem.push((0, 0));
@@ -289,14 +330,32 @@ impl<'m> FnRegCompiler<'m> {
         self.code.len() - 1
     }
 
-    fn take_pending(&mut self) -> u32 {
+    fn take_pending(&mut self) -> Cost {
         std::mem::take(&mut self.pending)
+    }
+
+    /// Folds the pending cost into the already emitted op at `at` (the
+    /// retarget and fusion peepholes), so those instructions are
+    /// settled together with that op. That is exact only when no
+    /// settlement point lies between them. A trap settles through its
+    /// own pc, so candidates are infallible (a fused load absorbs only
+    /// itself). A `memory.grow` settles through its own pc *before*
+    /// the size changes, so instructions folded onto it would be
+    /// billed at the old memory size: `memory.grow` never becomes a
+    /// peephole candidate.
+    fn absorb_pending(&mut self, at: usize) {
+        debug_assert!(
+            !std::ptr::fn_addr_eq(self.code[at].handler, ctl::mem_grow as Handler),
+            "cost folded across a memory.grow"
+        );
+        let c = self.take_pending();
+        self.cost[at] += c;
     }
 
     /// Emits a zero-width accounting op if source instructions are
     /// still pending (needed wherever the next PC is a branch target).
     fn flush_pending(&mut self) {
-        if self.pending > 0 {
+        if self.pending.instrs > 0 {
             let cost = self.take_pending();
             self.emit(mk(ctl::tick), cost);
         }
@@ -311,13 +370,13 @@ impl<'m> FnRegCompiler<'m> {
                 let mut o = mk(ctl::mv_rr);
                 o.a = r;
                 o.c = dst;
-                self.emit(o, 0);
+                self.emit(o, Cost::FREE);
             }
             Src::Const(k) => {
                 let mut o = mk(ctl::mv_ci);
                 o.imm = k;
                 o.c = dst;
-                self.emit(o, 0);
+                self.emit(o, Cost::FREE);
             }
         }
     }
@@ -546,7 +605,9 @@ impl<'m> FnRegCompiler<'m> {
         // the operand stack are materialised first, exactly as the
         // `local.set` would have done.
         self.flush_local_aliases(i, false);
-        self.pending += 8;
+        for instr in &w[..8] {
+            self.charge(instr);
+        }
         let mut o = match bound {
             Src::Reg(n) => {
                 let mut o = mk(ctl::for_tail_r);
@@ -581,19 +642,17 @@ impl<'m> FnRegCompiler<'m> {
                 skip = 7;
                 continue;
             }
+            self.charge(instr);
             match instr {
-                Instr::Nop => self.pending += 1,
+                Instr::Nop => {}
                 Instr::Drop => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     self.stack.pop();
                 }
                 Instr::LocalGet(x) => {
-                    self.pending += 1;
                     self.push_src(Src::Reg(*x as u16));
                 }
                 Instr::LocalSet(x) => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let v = self.stack.pop().expect("checked");
                     let x = *x as u16;
@@ -603,7 +662,7 @@ impl<'m> FnRegCompiler<'m> {
                             // Retarget peephole: the producing op
                             // writes the local directly.
                             self.code[c.at].c = x;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.cand = None;
                             continue;
                         }
@@ -628,7 +687,6 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::LocalTee(x) => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let v = *self.stack.last().expect("checked");
                     let x = *x as u16;
@@ -636,7 +694,7 @@ impl<'m> FnRegCompiler<'m> {
                     if let Some(c) = self.cand {
                         if v == Src::Reg(c.dst) {
                             self.code[c.at].c = x;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.cand = None;
                             *self.stack.last_mut().expect("checked") = Src::Reg(x);
                             continue;
@@ -663,7 +721,6 @@ impl<'m> FnRegCompiler<'m> {
                     *self.stack.last_mut().expect("checked") = Src::Reg(x);
                 }
                 Instr::GlobalGet(g) => {
-                    self.pending += 1;
                     let dst = self.canon(self.stack.len());
                     let mut o = mk(ctl::global_get);
                     o.imm2 = *g;
@@ -679,7 +736,6 @@ impl<'m> FnRegCompiler<'m> {
                     });
                 }
                 Instr::GlobalSet(g) => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let ra = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
@@ -690,23 +746,18 @@ impl<'m> FnRegCompiler<'m> {
                     self.emit(o, cost);
                 }
                 Instr::I32Const(v) => {
-                    self.pending += 1;
                     self.push_src(Src::Const(enc::I32(*v)));
                 }
                 Instr::I64Const(v) => {
-                    self.pending += 1;
                     self.push_src(Src::Const(enc::I64(*v)));
                 }
                 Instr::F32Const(v) => {
-                    self.pending += 1;
                     self.push_src(Src::Const(enc::F32(*v)));
                 }
                 Instr::F64Const(v) => {
-                    self.pending += 1;
                     self.push_src(Src::Const(enc::F64(*v)));
                 }
                 Instr::Num(op) => {
-                    self.pending += 1;
                     if let Some(h) = bin_handlers(*op) {
                         self.check_pop(2)?;
                         let pb = self.stack.len() - 1;
@@ -758,7 +809,7 @@ impl<'m> FnRegCompiler<'m> {
                                         o.handler = ctl::madd;
                                         o.b = other;
                                         o.c = dst;
-                                        self.cost[c.at] += self.take_pending();
+                                        self.absorb_pending(c.at);
                                         self.push_src(Src::Reg(dst));
                                         self.cand = Some(Cand {
                                             at: c.at,
@@ -839,7 +890,6 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::Select => {
-                    self.pending += 1;
                     self.check_pop(3)?;
                     let pc_ = self.stack.len() - 1;
                     let rc = self.val_reg(pc_);
@@ -863,7 +913,6 @@ impl<'m> FnRegCompiler<'m> {
                     });
                 }
                 Instr::Load(op, memarg) => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let pa = self.stack.len() - 1;
                     let h = load_handlers(*op);
@@ -886,7 +935,7 @@ impl<'m> FnRegCompiler<'m> {
                             };
                             o.imm2 = memarg.offset;
                             o.c = dst;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.mem[c.at].0 = 1;
                             self.push_src(Src::Reg(dst));
                             self.cand = None;
@@ -905,7 +954,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.push_src(Src::Reg(dst));
                 }
                 Instr::Store(op, memarg) => {
-                    self.pending += 1;
                     self.check_pop(2)?;
                     let pv = self.stack.len() - 1;
                     let h = store_handlers(*op);
@@ -934,7 +982,6 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::MemorySize => {
-                    self.pending += 1;
                     let dst = self.canon(self.stack.len());
                     let mut o = mk(ctl::mem_size);
                     o.c = dst;
@@ -949,7 +996,7 @@ impl<'m> FnRegCompiler<'m> {
                     });
                 }
                 Instr::MemoryGrow => {
-                    self.pending += 1;
+                    // Deliberately no `cand`: see `absorb_pending`.
                     self.check_pop(1)?;
                     let pa = self.stack.len() - 1;
                     let ra = self.val_reg(pa);
@@ -963,13 +1010,11 @@ impl<'m> FnRegCompiler<'m> {
                     self.push_src(Src::Reg(dst));
                 }
                 Instr::Unreachable => {
-                    self.pending += 1;
                     let cost = self.take_pending();
                     self.emit(mk(ctl::unreachable), cost);
                     self.unreachable = true;
                 }
                 Instr::Block { ty, body } => {
-                    self.pending += 1;
                     self.materialize_all();
                     let arity = ty.results().len() as u16;
                     self.labels.push(RLabel {
@@ -985,12 +1030,10 @@ impl<'m> FnRegCompiler<'m> {
                     self.close_label();
                 }
                 Instr::Loop { ty, body } => {
-                    self.pending += 1;
                     self.materialize_all();
                     self.compile_loop(*ty, body)?;
                 }
                 Instr::If { ty, then, els } => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let arity = ty.results().len() as u16;
                     // Materialise everything below the condition.
@@ -1005,7 +1048,7 @@ impl<'m> FnRegCompiler<'m> {
                             let (_, brifnot) = c.fused.expect("checked");
                             self.code[c.at].handler = brifnot;
                             self.code[c.at].imm2 = u32::MAX;
-                            self.cost[c.at] += self.take_pending();
+                            self.absorb_pending(c.at);
                             self.cand = None;
                             self.stack.pop();
                             c.at
@@ -1036,7 +1079,7 @@ impl<'m> FnRegCompiler<'m> {
                     } else {
                         if !self.unreachable {
                             // Skip the else-arm; lands on the join.
-                            let j = self.emit(mk(ctl::jump), 0);
+                            let j = self.emit(mk(ctl::jump), Cost::FREE);
                             let lbl = self.labels.last_mut().expect("open");
                             lbl.patches.push(RPatch::Imm2(j));
                         }
@@ -1051,7 +1094,6 @@ impl<'m> FnRegCompiler<'m> {
                     }
                 }
                 Instr::Br(l) => {
-                    self.pending += 1;
                     let (h_t, arity) = self.label_info(*l)?;
                     self.emit_branch_values(h_t, arity as usize)?;
                     let j = self.code.len();
@@ -1063,7 +1105,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.unreachable = true;
                 }
                 Instr::BrIf(l) => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let (h_t, arity) = self.label_info(*l)?;
                     if arity == 0 {
@@ -1074,7 +1115,7 @@ impl<'m> FnRegCompiler<'m> {
                                 let target = self.branch_target(*l, RPatch::Imm2(c.at))?;
                                 self.code[c.at].handler = brif;
                                 self.code[c.at].imm2 = target;
-                                self.cost[c.at] += self.take_pending();
+                                self.absorb_pending(c.at);
                                 self.cand = None;
                                 self.stack.pop();
                             }
@@ -1105,12 +1146,11 @@ impl<'m> FnRegCompiler<'m> {
                         let target = self.branch_target(*l, RPatch::Imm2(j))?;
                         let mut o = mk(ctl::jump);
                         o.imm2 = target;
-                        self.emit(o, 0);
+                        self.emit(o, Cost::FREE);
                         self.code[skip_at].imm2 = self.code.len() as u32;
                     }
                 }
                 Instr::BrTable { targets, default } => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let ri = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
@@ -1144,7 +1184,7 @@ impl<'m> FnRegCompiler<'m> {
                             let t = self.branch_target(*l, RPatch::Imm2(j))?;
                             let mut o = mk(ctl::jump);
                             o.imm2 = t;
-                            self.emit(o, 0);
+                            self.emit(o, Cost::FREE);
                         }
                         self.br_tables[ti].default = self.code.len() as u32;
                         let (h_t, _) = self.label_info(*default)?;
@@ -1153,12 +1193,11 @@ impl<'m> FnRegCompiler<'m> {
                         let t = self.branch_target(*default, RPatch::Imm2(j))?;
                         let mut o = mk(ctl::jump);
                         o.imm2 = t;
-                        self.emit(o, 0);
+                        self.emit(o, Cost::FREE);
                     }
                     self.unreachable = true;
                 }
                 Instr::Return => {
-                    self.pending += 1;
                     let n = self.n_results as usize;
                     if self.stack.len() < n {
                         return Err(bad("return values"));
@@ -1171,7 +1210,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.unreachable = true;
                 }
                 Instr::Call(f) => {
-                    self.pending += 1;
                     let (n_args, n_res) = self.func_arity(*f)?;
                     if self.stack.len() < n_args {
                         return Err(bad("call args"));
@@ -1185,7 +1223,6 @@ impl<'m> FnRegCompiler<'m> {
                     self.finish_call(n_args, n_res);
                 }
                 Instr::CallIndirect(t) => {
-                    self.pending += 1;
                     self.check_pop(1)?;
                     let ri = self.val_reg(self.stack.len() - 1);
                     self.stack.pop();
@@ -1284,7 +1321,7 @@ impl<'m> FnRegCompiler<'m> {
         self.body(body, None)?;
         self.seal_arm(0)?;
         self.close_label();
-        let skip = self.emit(mk(ctl::jump), 0);
+        let skip = self.emit(mk(ctl::jump), Cost::FREE);
         // Unchecked copy: compiled from the identical entry state
         // (everything canonical, pending 0), so per-iteration costs
         // match the checked copy op for op.
@@ -1324,7 +1361,7 @@ impl<'m> FnRegCompiler<'m> {
         }
         let mut o = mk(ctl::ret);
         o.a = self.n_fixed as u16;
-        self.emit(o, 0);
+        self.emit(o, Cost::FREE);
         if self.n_fixed as usize + self.max_height > usize::from(u16::MAX) {
             return Err(bad("frame too wide for u16 registers"));
         }
@@ -1333,7 +1370,8 @@ impl<'m> FnRegCompiler<'m> {
         let mut acc = SegPrefix::default();
         cost_prefix.push(acc);
         for (c, (l, st)) in self.cost.iter().zip(&self.mem) {
-            acc.cost += c;
+            acc.cost += c.instrs;
+            acc.weighted += c.weighted;
             acc.loads += l;
             acc.stores += st;
             cost_prefix.push(acc);
@@ -1417,7 +1455,7 @@ mod tests {
             (Bound::Const(100), ctl::for_tail_i as Handler),
         ] {
             let m = sum_loop_module(bound);
-            let rm = compile_regs(&m).expect("compiles");
+            let rm = compile_regs(&m, None).expect("compiles");
             assert_eq!(
                 count_ops(&rm, handler),
                 1,
@@ -1445,7 +1483,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let rm = compile_regs(&m).expect("compiles");
+        let rm = compile_regs(&m, None).expect("compiles");
         assert_eq!(count_ops(&rm, ctl::madd), 1, "mul+add should fuse");
         let has_shl_load = rm.funcs[0].code.iter().any(|o| {
             let h = load_handlers(LoadOp::I64Load);
@@ -1489,7 +1527,7 @@ mod tests {
         });
         b.export_func("f", f);
         let m = b.build();
-        let rm = compile_regs(&m).expect("compiles");
+        let rm = compile_regs(&m, None).expect("compiles");
         assert_eq!(rm.funcs[0].guards.len(), 1, "loop should be guarded");
         let lh = load_handlers(LoadOp::I64Load);
         assert!(

@@ -33,15 +33,30 @@
 //!   null and type checks (tables are immutable after instantiation,
 //!   so a cached translation can never go stale).
 //!
-//! Accounting is batched per straight-line segment exactly like the
-//! flat engine: costs live in a per-function prefix sum
-//! ([`RegFunc::cost_prefix`]) and each segment exit delivers one
-//! [`Observer::on_block`]. The totals — results, traps,
-//! [`crate::ExecStats`], signed counters — are bit-identical to the
-//! tree-walker oracle for any module (the three-way differential
-//! suite in `tests/engine_diff.rs` pins this down). The tier never
-//! runs fueled or per-instruction-observed executions: those deopt to
-//! the flat engine, which owns exact per-op bookkeeping.
+//! Accounting is batched per straight-line segment: costs live in a
+//! per-function prefix sum ([`RegFunc::cost_prefix`]) with columns for
+//! the instruction count, the weighted count and loads/stores, and
+//! each segment exit adds its difference to the VM's running totals.
+//! The observer is told only when those totals are *settled* — at a
+//! `memory.grow` (through the grow's own pc, before the size changes)
+//! and when the invoke returns or traps — as one coalesced
+//! [`Observer::on_block`]`(instrs, weighted)`. The totals — results,
+//! traps, [`crate::ExecStats`], signed counters, the memory integral —
+//! are bit-identical to the tree-walker oracle for any module (the
+//! three-way differential suite in `tests/engine_diff.rs` pins this
+//! down).
+//!
+//! The tier deopts to the flat engine, which owns exact per-op
+//! bookkeeping, in exactly these cases, each counted in
+//! `acctee_interp_deopts_total{reason}` and visible as
+//! [`Instance::ran_on`]:
+//!
+//! * `fuel` — the invoke has a fuel budget;
+//! * `per_instr` — the observer asks for [`Accounting::PerInstr`], or
+//!   declares [`Observer::block_weights`] other than the weights the
+//!   artifact was compiled with (for example an artifact built by
+//!   [`CompiledModule::compile`], which has none);
+//! * `declined` — the register compiler declined the module.
 
 use std::sync::Arc;
 
@@ -50,7 +65,7 @@ use acctee_wasm::op::{LoadOp, NumOp, StoreOp};
 use acctee_wasm::types::ValType;
 
 use crate::bytecode::CompiledModule;
-use crate::exec::Instance;
+use crate::exec::{Engine, Instance};
 use crate::numslot::{dec, enc, for_each_slot_op, slot_to_value, value_to_slot};
 use crate::observer::{Accounting, Observer};
 use crate::trap::Trap;
@@ -186,11 +201,15 @@ pub(crate) struct RegGuard {
     pub unchecked_pc: u32,
 }
 
-/// Prefix-summed per-pc accounting: instruction cost plus the static
-/// load/store counts, so a segment settles all three stats with two
-/// array reads instead of a read-modify-write per memory access.
+/// Prefix-summed per-pc accounting: instruction cost, weighted cost
+/// and the static load/store counts, so a segment settles every
+/// counter with two array reads instead of a read-modify-write per
+/// instruction or memory access.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SegPrefix {
+    /// Summed weights of the source instructions, under the artifact's
+    /// [`crate::InstrWeights`] (unit weights when it has none).
+    pub weighted: u64,
     /// Source instructions.
     pub cost: u32,
     /// Loads executed (1 on every load op, fused or not).
@@ -260,15 +279,17 @@ pub(crate) struct RegVm<'a, 'm> {
     pub seg_start: u32,
     /// Instructions retired this invoke (folded into stats on exit).
     pub instrs: u64,
+    /// Their summed weight (the [`SegPrefix::weighted`] column).
+    pub weighted: u64,
+    /// The `(instrs, weighted)` totals already delivered to the
+    /// observer; [`settle`] hands it the difference.
+    pub settled: (u64, u64),
     /// Loads executed this invoke (settled per segment from the
     /// [`SegPrefix`] sums — no per-access bookkeeping — and folded
     /// into stats on exit).
     pub loads: u64,
     /// Stores executed this invoke (as above).
     pub stores: u64,
-    /// Hoisted observer null-check: when true, `on_block` is skipped
-    /// entirely (the count still lands in `instrs`).
-    pub obs_null: bool,
     /// The attached (batched) observer.
     pub observer: &'a mut dyn Observer,
     /// The trap recorded by a handler that returned [`TRAPPED`].
@@ -278,8 +299,9 @@ pub(crate) struct RegVm<'a, 'm> {
     pub ret_at: u32,
 }
 
-/// Closes the accounting segment `[seg_start, pc]`: counts it and
-/// delivers one batched observer event.
+/// Closes the accounting segment `[seg_start, pc]`: adds it to the
+/// VM's running totals. The observer hears of it only at the next
+/// [`settle`].
 #[inline(always)]
 fn flush(vm: &mut RegVm<'_, '_>, pc: u32) {
     let hi = vm.rf.cost_prefix[pc as usize + 1];
@@ -287,12 +309,23 @@ fn flush(vm: &mut RegVm<'_, '_>, pc: u32) {
     let c = hi.cost - lo.cost;
     if c != 0 {
         vm.instrs += u64::from(c);
+        vm.weighted += hi.weighted - lo.weighted;
         vm.loads += u64::from(hi.loads - lo.loads);
         vm.stores += u64::from(hi.stores - lo.stores);
-        if !vm.obs_null {
-            vm.observer.on_block(u64::from(c));
-        }
     }
+}
+
+/// Delivers everything flushed since the last settlement as one
+/// [`Observer::on_block`]. Runs only at a `memory.grow` and when the
+/// invoke exits (return or trap), so the hot loop makes no observer
+/// call at all.
+fn settle(vm: &mut RegVm<'_, '_>) {
+    let (instrs, weighted) = vm.settled;
+    if vm.instrs != instrs {
+        vm.observer
+            .on_block(vm.instrs - instrs, vm.weighted - weighted);
+    }
+    vm.settled = (vm.instrs, vm.weighted);
 }
 
 /// Trap exit: the trapping instruction itself is counted (matching
@@ -551,6 +584,11 @@ pub(crate) fn h_mem_size(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
 }
 
 pub(crate) fn h_mem_grow(vm: &mut RegVm<'_, '_>, op: RegOp, pc: u32) -> u32 {
+    // Settle through the grow's own pc before the size changes: the
+    // oracle counts `memory.grow` itself at the old size.
+    flush(vm, pc);
+    vm.seg_start = pc + 1;
+    settle(vm);
     let delta = dec::as_i32(vm.regs[vm.base + op.a as usize]);
     let mem = vm.inst.memory.as_mut().expect("validated");
     let r = if delta < 0 {
@@ -1019,26 +1057,47 @@ impl CompiledModule {
     /// shared by every instance holding the artifact.
     pub(crate) fn reg_module(&self, module: &Module) -> &Result<RegModule, Trap> {
         self.regs
-            .get_or_init(|| crate::regalloc::compile_regs(module))
+            .get_or_init(|| crate::regalloc::compile_regs(module, self.weights.as_ref()))
     }
 }
 
 impl<'m> Instance<'m> {
+    /// Hands an invoke the register tier cannot serve to the flat
+    /// engine (identical semantics, enforced by the differential
+    /// suite) and counts the deopt by `reason`.
+    fn deopt(
+        &mut self,
+        reason: &'static str,
+        idx: u32,
+        args: &[Value],
+        observer: &mut dyn Observer,
+    ) -> Result<Vec<Value>, Trap> {
+        acctee_telemetry::global()
+            .metrics()
+            .counter_with("acctee_interp_deopts_total", &[("reason", reason)])
+            .inc();
+        self.ran_on = Engine::Bytecode;
+        self.invoke_flat(idx, args, observer)
+    }
+
     /// Invokes `idx` on the register tier.
     ///
-    /// Deopt rules: fueled executions and per-instruction observers
-    /// need exact per-op bookkeeping, which this tier deliberately
-    /// does not carry — those invokes run on the flat engine instead
-    /// (identical semantics, enforced by the differential suite). A
-    /// module the register compiler declines also falls back.
+    /// Deopt rules (the module doc lists them with their reasons):
+    /// fuel and per-instruction observers need exact per-op
+    /// bookkeeping, which this tier deliberately does not carry; so
+    /// does an observer reading weights this artifact was not compiled
+    /// with. A module the register compiler declines also falls back.
     pub(crate) fn invoke_regs(
         &mut self,
         idx: u32,
         args: &[Value],
         observer: &mut dyn Observer,
     ) -> Result<Vec<Value>, Trap> {
-        if self.fuel.is_some() || observer.accounting() == Accounting::PerInstr {
-            return self.invoke_flat(idx, args, observer);
+        if self.fuel.is_some() {
+            return self.deopt("fuel", idx, args, observer);
+        }
+        if observer.accounting() == Accounting::PerInstr {
+            return self.deopt("per_instr", idx, args, observer);
         }
         if idx < self.module.num_imported_funcs() {
             if self.config.max_call_depth == 0 {
@@ -1054,9 +1113,16 @@ impl<'m> Instance<'m> {
             self.compiled = Some(CompiledModule::compile(self.module)?);
         }
         let compiled = Arc::clone(self.compiled.as_ref().expect("compiled above"));
+        if observer
+            .block_weights()
+            .is_some_and(|k| compiled.weights_key() != Some(k))
+        {
+            // The flat engine serves it the per-instruction stream.
+            return self.deopt("per_instr", idx, args, observer);
+        }
         let rm = match compiled.reg_module(self.module) {
             Ok(rm) => rm,
-            Err(_) => return self.invoke_flat(idx, args, observer),
+            Err(_) => return self.deopt("declined", idx, args, observer),
         };
         if self.config.max_call_depth == 0 {
             return Err(Trap::CallStackExhausted);
@@ -1072,7 +1138,6 @@ impl<'m> Instance<'m> {
         bufs.frames.clear();
         bufs.regs.extend(args.iter().map(|v| value_to_slot(*v)));
         bufs.regs.resize(rf.n_regs as usize, 0);
-        let obs_null = observer.is_null();
         let mut vm = RegVm {
             inst: self,
             compiled: &compiled,
@@ -1085,9 +1150,10 @@ impl<'m> Instance<'m> {
             cur_func: idx,
             seg_start: 0,
             instrs: 0,
+            weighted: 0,
+            settled: (0, 0),
             loads: 0,
             stores: 0,
-            obs_null,
             observer,
             trap: None,
             ret_at: 0,
@@ -1100,6 +1166,7 @@ impl<'m> Instance<'m> {
                 break;
             }
         }
+        settle(&mut vm);
         let RegVm {
             regs,
             frames,

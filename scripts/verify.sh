@@ -32,6 +32,16 @@ done
 REGS_X="$(sed -n 's/.*"regs_speedup_geomean_vs_bytecode": \([0-9.]*\).*/\1/p' /tmp/BENCH_interp.json)"
 awk -v x="${REGS_X:-0}" 'BEGIN { exit !(x > 1.0) }' \
     || { echo "register tier is not faster than bytecode (geomean ${REGS_X:-?}x)"; exit 1; }
+# Billed executions (AccountingEnclave::execute, memory integral and
+# all) must reach the register tier: accounted regs must beat
+# accounted tree on the per-kernel geomean.
+for f in /tmp/BENCH_interp.json BENCH_interp.json; do
+    grep -q '"accounted_regs_speedup_geomean_vs_tree"' "$f" \
+        || { echo "$f missing accounted_regs_speedup_geomean_vs_tree"; exit 1; }
+done
+ACC_X="$(sed -n 's/.*"accounted_regs_speedup_geomean_vs_tree": \([0-9.]*\).*/\1/p' /tmp/BENCH_interp.json)"
+awk -v x="${ACC_X:-0}" 'BEGIN { exit !(x > 1.0) }' \
+    || { echo "accounted regs is not faster than accounted tree (geomean ${ACC_X:-?}x)"; exit 1; }
 
 echo "==> artifact-cache concurrency suite"
 cargo test --offline -q --release -p acctee-integration --test artifact_cache

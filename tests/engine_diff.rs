@@ -13,11 +13,20 @@
 //! ifs, br_table, direct/indirect calls, memory traffic, occasional
 //! traps), from the PolyBench workload suite, and from directed trap
 //! cases.
+//!
+//! The last section checks *billing*: the memory integral, which the
+//! register tier settles in batches at `memory.grow` and exit, must
+//! equal the tree-walker's per-instruction sum, and a whole signed
+//! usage log must come out bit-identical on every engine.
 
+use std::sync::Arc;
+
+use acctee::{Deployment, IoMeter, ResourceUsageLog};
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
 use acctee_integration::prop::{check, Rng};
 use acctee_interp::{
-    BatchedCounter, Config, CountingObserver, Engine, ExecStats, Imports, Instance, Trap, Value,
+    Accounting, BatchedCounter, CompiledModule, Config, CountingObserver, Engine, ExecStats,
+    Imports, Instance, InstrWeights, Observer, Trap, Value,
 };
 use acctee_wasm::builder::{FuncBuilder, ModuleBuilder};
 use acctee_wasm::instr::{BlockType, Instr};
@@ -1086,6 +1095,389 @@ fn numeric_ops_agree_exhaustively() {
                 }
             }
             _ => unreachable!("numeric ops are unary or binary"),
+        }
+    }
+}
+
+// ------------------------------------------------------------ billing
+
+/// The memory integral the way the accounting enclave defines it: each
+/// executed instruction adds its weight times the memory size it ran
+/// at. Batched when the engine can sum the weights itself.
+struct Integral {
+    table: WeightTable,
+    key: [u8; 32],
+    cur_mem: u64,
+    integral: u128,
+    weighted: u64,
+}
+
+impl Observer for Integral {
+    fn on_instr(&mut self, instr: &Instr) {
+        self.on_block(1, self.table.weight(instr));
+    }
+
+    fn on_block(&mut self, _instrs: u64, weighted: u64) {
+        self.weighted += weighted;
+        self.integral += u128::from(weighted) * u128::from(self.cur_mem);
+    }
+
+    fn on_mem_grow(&mut self, new_size_bytes: usize) {
+        self.cur_mem = new_size_bytes as u64;
+    }
+
+    fn accounting(&self) -> Accounting {
+        Accounting::Batched
+    }
+
+    fn block_weights(&self) -> Option<[u8; 32]> {
+        Some(self.key)
+    }
+}
+
+const WEIGHTS_KEY: [u8; 32] = [0xca; 32];
+
+fn calibrated_weights() -> InstrWeights {
+    let table = WeightTable::calibrated();
+    InstrWeights::new(WEIGHTS_KEY, move |i| table.weight(i))
+}
+
+/// Everything billing-relevant about one execution.
+#[derive(Debug, PartialEq)]
+struct Billed {
+    result: Result<Vec<(ValType, u64)>, Trap>,
+    stats: ExecStats,
+    weighted: u64,
+    integral: u128,
+}
+
+/// Runs `func` under the [`Integral`] observer. `artifact` is handed
+/// to the compiled engines (the tree-walker ignores it). Returns the
+/// outcome and the engine that actually ran it.
+fn run_integral(
+    module: &Module,
+    imports: Imports,
+    engine: Engine,
+    artifact: &Arc<CompiledModule>,
+    func: &str,
+    args: &[Value],
+) -> (Billed, Engine) {
+    let cfg = Config {
+        engine,
+        ..Config::default()
+    };
+    let mut inst = match engine {
+        Engine::Tree => Instance::with_config(module, imports, cfg),
+        _ => Instance::with_artifact(module, imports, cfg, Arc::clone(artifact)),
+    }
+    .expect("instantiate");
+    let mut obs = Integral {
+        table: WeightTable::calibrated(),
+        key: WEIGHTS_KEY,
+        cur_mem: inst.memory().map_or(0, |m| m.size_bytes() as u64),
+        integral: 0,
+        weighted: 0,
+    };
+    let result = inst.invoke_observed(func, args, &mut obs);
+    let billed = Billed {
+        result: result.map(|vs| vs.iter().map(value_bits).collect()),
+        stats: inst.stats(),
+        weighted: obs.weighted,
+        integral: obs.integral,
+    };
+    (billed, inst.ran_on())
+}
+
+/// The weighted integral agrees on all engines, traps included, and
+/// the register tier serves it batched from a weighted artifact
+/// (without deopting). Returns the oracle outcome.
+fn assert_integral_agrees(
+    module: &Module,
+    mk_imports: &dyn Fn() -> Imports,
+    func: &str,
+    args: &[Value],
+) -> Billed {
+    let weighted = CompiledModule::compile_weighted(module, calibrated_weights()).expect("compile");
+    let (t, _) = run_integral(module, mk_imports(), Engine::Tree, &weighted, func, args);
+    for engine in [Engine::Bytecode, Engine::Regs] {
+        let (b, ran_on) = run_integral(module, mk_imports(), engine, &weighted, func, args);
+        assert_eq!(t, b, "{engine:?}: billed integral diverged from the oracle");
+        assert_eq!(
+            ran_on, engine,
+            "{engine:?} deopted a weighted batched observer"
+        );
+    }
+    t
+}
+
+/// A kernel built to stress the settlement points of the integral:
+/// `run(mode, n)` grows memory inside a loop (each grow directly
+/// followed by `local.set` or `local.tee`, the retarget peephole's
+/// shape), writes output through a host call between grows, makes a
+/// failing grow that returns -1, reads its input, and — by `mode` —
+/// traps in the segment right after a grow (1: out-of-bounds load,
+/// 2: `unreachable`) or returns (0).
+fn grow_kernel() -> Module {
+    let mut b = ModuleBuilder::new();
+    let input_len = b.import_func("env", "input_len", &[], &[ValType::I32]);
+    let read_input = b.import_func(
+        "env",
+        "read_input",
+        &[ValType::I32, ValType::I32],
+        &[ValType::I32],
+    );
+    let write_output = b.import_func(
+        "env",
+        "write_output",
+        &[ValType::I32, ValType::I32],
+        &[ValType::I32],
+    );
+    b.memory(1, Some(16));
+    let f = b.func("run", &[ValType::I32, ValType::I32], &[ValType::I32], |f| {
+        let (mode, n) = (0, 1);
+        let i = f.local(ValType::I32);
+        let g = f.local(ValType::I32);
+        let acc = f.local(ValType::I32);
+        f.for_loop(
+            i,
+            acctee_wasm::builder::Bound::Const(0),
+            acctee_wasm::builder::Bound::Local(n),
+            |f| {
+                f.i32_const(1);
+                f.emit(Instr::MemoryGrow);
+                f.local_set(g);
+                // Work at the new size: touch its last word.
+                f.emit(Instr::MemorySize);
+                f.i32_const(16);
+                f.i32_shl();
+                f.i32_const(4);
+                f.i32_sub();
+                f.local_get(g);
+                f.i32_store(0);
+                f.local_get(acc);
+                f.local_get(g);
+                f.i32_add();
+                f.local_set(acc);
+                // Host I/O between grows.
+                f.i32_const(0);
+                f.i32_const(4);
+                f.call(write_output);
+                f.local_get(acc);
+                f.i32_add();
+                f.local_set(acc);
+                // A zero-page grow feeding `local.tee`.
+                f.i32_const(0);
+                f.emit(Instr::MemoryGrow);
+                f.local_tee(g);
+                f.local_get(acc);
+                f.i32_add();
+                f.local_set(acc);
+            },
+        );
+        // Far past the maximum: fails with -1, size unchanged.
+        f.i32_const(1000);
+        f.emit(Instr::MemoryGrow);
+        f.local_set(g);
+        f.i32_const(8);
+        f.call(input_len);
+        f.call(read_input);
+        f.local_get(g);
+        f.i32_add();
+        f.local_get(acc);
+        f.i32_add();
+        f.local_set(acc);
+        f.local_get(mode);
+        f.if_(BlockType::Empty, |f| {
+            f.i32_const(1);
+            f.emit(Instr::MemoryGrow);
+            f.drop_();
+            f.local_get(mode);
+            f.i32_const(2);
+            f.num(NumOp::I32Eq);
+            f.if_(BlockType::Empty, |f| {
+                f.emit(Instr::Unreachable);
+            });
+            f.emit(Instr::MemorySize);
+            f.i32_const(16);
+            f.i32_shl();
+            f.i32_load(0);
+            f.local_set(acc);
+        });
+        f.local_get(acc);
+    });
+    b.export_func("run", f);
+    b.build()
+}
+
+/// The grow kernel's argument sweep: every mode, zero to several
+/// loop iterations.
+fn grow_kernel_cases() -> Vec<[Value; 2]> {
+    let mut cases = Vec::new();
+    for mode in 0..3 {
+        for n in [0, 1, 2, 5] {
+            cases.push([Value::I32(mode), Value::I32(n)]);
+        }
+    }
+    cases
+}
+
+/// Metered I/O imports for running the raw grow kernel outside an
+/// enclave.
+fn io_imports() -> Imports {
+    IoMeter::with_input(b"grow-kernel").register(Imports::new())
+}
+
+/// The memory integral is batch-exact: generated programs (grows and
+/// traps included) give the oracle's per-instruction integral on every
+/// engine, with the register tier staying batched.
+#[test]
+fn memory_integral_agrees_on_generated_programs() {
+    check("memory_integral_agrees_on_generated_programs", 48, |rng| {
+        let module = build_module(&gen_program(rng, 3));
+        assert_integral_agrees(&module, &no_imports, "run", &[Value::I64(rng.i64())]);
+    });
+}
+
+/// The memory integral over PolyBench (no grows: one long interval).
+#[test]
+fn memory_integral_agrees_on_polybench() {
+    for k in acctee_workloads::polybench::all() {
+        let out = assert_integral_agrees(&(k.build)(6), &no_imports, "run", &[]);
+        assert!(out.result.is_ok(), "{} trapped", k.name);
+        assert!(out.integral > 0, "{}", k.name);
+    }
+}
+
+/// The grow kernel: settlement through each grow, grows feeding
+/// `local.set`/`local.tee`, a failing grow, host calls between grows,
+/// and traps right after a grow all integrate exactly.
+#[test]
+fn memory_integral_agrees_on_grow_kernel() {
+    let m = grow_kernel();
+    acctee_wasm::validate::validate_module(&m).expect("grow kernel valid");
+    for args in grow_kernel_cases() {
+        let out = assert_integral_agrees(&m, &io_imports, "run", &args);
+        let mode = args[0].as_i32();
+        match mode {
+            0 => assert!(out.result.is_ok(), "{args:?}: {:?}", out.result),
+            1 => assert!(
+                matches!(out.result, Err(Trap::MemoryOutOfBounds { .. })),
+                "{args:?}"
+            ),
+            _ => assert_eq!(out.result, Err(Trap::Unreachable), "{args:?}"),
+        }
+        let grows = 2 * args[1].as_i32() as u64 + 1 + u64::from(mode != 0);
+        assert_eq!(out.stats.mem_grows, grows, "{args:?}");
+    }
+}
+
+/// An artifact compiled without the observer's weights (or with other
+/// weights) cannot serve it batched: the register tier deopts to the
+/// exact per-instruction stream, and the integral is still exact.
+#[test]
+fn memory_integral_deopts_on_foreign_weights() {
+    let m = grow_kernel();
+    let args = [Value::I32(0), Value::I32(3)];
+    let oracle = assert_integral_agrees(&m, &io_imports, "run", &args);
+    let table = WeightTable::uniform();
+    let foreign = InstrWeights::new([0x01; 32], move |i| table.weight(i));
+    for artifact in [
+        CompiledModule::compile(&m).expect("compile"),
+        CompiledModule::compile_weighted(&m, foreign).expect("compile"),
+    ] {
+        let (b, ran_on) = run_integral(&m, io_imports(), Engine::Regs, &artifact, "run", &args);
+        assert_eq!(b, oracle);
+        assert_eq!(ran_on, Engine::Bytecode);
+    }
+}
+
+/// One billed execution through the accounting enclave: results,
+/// output and the whole usage log (the quote aside), or the error.
+type Bill = Result<(Vec<(ValType, u64)>, Vec<u8>, ResourceUsageLog), String>;
+
+/// Instruments `original` at `level` once, then executes it through
+/// `AccountingEnclave::execute` under the calibrated weight table on
+/// every engine, asserting bit-identical bills. Returns the oracle's.
+fn assert_bills_agree(
+    dep: &mut Deployment,
+    original: &Module,
+    level: Level,
+    func: &str,
+    args: &[Value],
+    input: &[u8],
+) -> Bill {
+    let bytes = acctee_wasm::encode::encode_module(original);
+    let (bytes, evidence) = dep.instrument(&bytes, level).expect("instrument");
+    let mut bills = Vec::new();
+    for engine in Engine::ALL {
+        dep.set_engine(engine);
+        let infra = dep.infrastructure();
+        let loaded = infra.load(&bytes, &evidence).expect("load");
+        let bill = infra
+            .accounting_enclave()
+            .execute(&loaded, func, args, input, 42)
+            .map(|o| {
+                let results = o.results.iter().map(value_bits).collect();
+                (results, o.output, o.log.log)
+            })
+            .map_err(|e| e.to_string());
+        bills.push(bill);
+    }
+    for (engine, bill) in Engine::ALL.iter().zip(&bills).skip(1) {
+        assert_eq!(&bills[0], bill, "{engine:?}: {level} bill diverged");
+    }
+    bills.swap_remove(0)
+}
+
+/// Signed bills are engine-independent under the calibrated (non-
+/// uniform) weight table, for generated programs at two
+/// instrumentation levels.
+#[test]
+fn billed_bills_agree_on_generated_programs() {
+    let dep = std::cell::RefCell::new(Deployment::new(12));
+    check("billed_bills_agree_on_generated_programs", 24, |rng| {
+        let module = build_module(&gen_program(rng, 3));
+        let args = [Value::I64(rng.i64())];
+        for level in [Level::Naive, Level::LoopBased] {
+            let _ = assert_bills_agree(&mut dep.borrow_mut(), &module, level, "run", &args, b"");
+        }
+    });
+}
+
+/// PolyBench bills agree on every engine.
+#[test]
+fn billed_bills_agree_on_polybench() {
+    let mut dep = Deployment::new(13);
+    for k in acctee_workloads::polybench::all() {
+        let bill = assert_bills_agree(&mut dep, &(k.build)(6), Level::LoopBased, "run", &[], b"");
+        let log = bill.unwrap_or_else(|e| panic!("{}: {e}", k.name)).2;
+        assert!(log.memory_integral > 0, "{}", k.name);
+    }
+}
+
+/// Grow-kernel bills agree at every instrumentation level: memory
+/// integral, peak memory and both I/O directions are non-trivial, and
+/// the trapping modes fail identically everywhere.
+#[test]
+fn billed_bills_agree_on_grow_kernel() {
+    let mut dep = Deployment::new(14);
+    let m = grow_kernel();
+    for level in [Level::Naive, Level::FlowBased, Level::LoopBased] {
+        for args in grow_kernel_cases() {
+            let bill = assert_bills_agree(&mut dep, &m, level, "run", &args, b"grow-kernel");
+            if args[0].as_i32() != 0 {
+                assert!(bill.is_err(), "{args:?} should trap");
+                continue;
+            }
+            let (_, output, log) = bill.expect("mode 0 returns");
+            let n = args[1].as_i32() as u64;
+            assert_eq!(output.len() as u64, 4 * n);
+            assert_eq!(log.io_bytes_out, 4 * n);
+            assert_eq!(log.io_bytes_in, b"grow-kernel".len() as u64);
+            assert_eq!(
+                log.peak_memory_bytes,
+                (1 + n) * acctee_wasm::PAGE_SIZE as u64
+            );
         }
     }
 }

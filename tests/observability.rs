@@ -8,10 +8,15 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use acctee::Deployment;
 use acctee_faas::{FaasPlatform, FunctionKind, Setup};
 use acctee_instrument::{instrument, Level, WeightTable, COUNTER_EXPORT};
-use acctee_interp::{Imports, Instance, ProfilingObserver, Value};
-use acctee_telemetry::{parse_chrome_json, to_chrome_json, EventKind, Telemetry, TraceEvent};
+use acctee_interp::{
+    Config, CountingObserver, Engine, Imports, Instance, ProfilingObserver, Value,
+};
+use acctee_telemetry::{
+    parse_chrome_json, to_chrome_json, ArgValue, EventKind, Telemetry, TraceEvent,
+};
 use acctee_wasm::builder::{Bound, ModuleBuilder};
 use acctee_wasm::types::ValType;
 
@@ -149,4 +154,83 @@ fn profiler_total_matches_injected_counter() {
     assert_eq!(out, out2);
     assert_eq!(report.total_weight, counter);
     assert!(report.hot_functions.iter().any(|f| f.name == "run"));
+}
+
+#[test]
+fn billed_execute_records_its_tier_and_deopts_are_counted() {
+    let _guard = telemetry_lock();
+    let (tel, sink) = Telemetry::collecting();
+    let tel = Arc::new(tel);
+    acctee_telemetry::install(tel.clone());
+    let deopts = |reason: &str| {
+        tel.metrics()
+            .counter_with("acctee_interp_deopts_total", &[("reason", reason)])
+            .get()
+    };
+
+    // A billed execution on the register tier stays there: the AE's
+    // span names the tier that ran it.
+    let mut b = ModuleBuilder::new();
+    b.memory(1, None);
+    let f = b.func("run", &[ValType::I32], &[ValType::I64], |f| {
+        let i = f.local(ValType::I32);
+        let acc = f.local(ValType::I64);
+        f.for_loop(i, Bound::Const(0), Bound::Local(0), |f| {
+            f.local_get(acc);
+            f.local_get(i);
+            f.num(acctee_wasm::op::NumOp::I64ExtendI32S);
+            f.num(acctee_wasm::op::NumOp::I64Add);
+            f.local_set(acc);
+        });
+        f.local_get(acc);
+    });
+    b.export_func("run", f);
+    let m = b.build();
+    let mut dep = Deployment::new(5);
+    let bytes = acctee_wasm::encode::encode_module(&m);
+    let (bytes, evidence) = dep.instrument(&bytes, Level::LoopBased).unwrap();
+    let tiers: Vec<String> = [Engine::Regs, Engine::Tree]
+        .into_iter()
+        .map(|engine| {
+            dep.set_engine(engine);
+            let infra = dep.infrastructure();
+            let loaded = infra.load(&bytes, &evidence).unwrap();
+            infra
+                .execute_billed(&loaded, "run", &[Value::I32(50)], b"", 1)
+                .unwrap();
+            let span = sink
+                .drain()
+                .into_iter()
+                .find(|e| e.name == "enclave.ae.execute")
+                .expect("execute span");
+            match span.args.iter().find(|(k, _)| k == "tier") {
+                Some((_, ArgValue::Str(t))) => t.clone(),
+                other => panic!("no tier arg: {other:?}"),
+            }
+        })
+        .collect();
+    assert_eq!(tiers, ["regs", "tree"]);
+
+    // Every register-tier fallback is counted by reason and visible on
+    // the instance.
+    let regs = |fuel| Config {
+        engine: Engine::Regs,
+        fuel,
+        ..Config::default()
+    };
+    let (fuel0, per_instr0) = (deopts("fuel"), deopts("per_instr"));
+    let mut inst = Instance::with_config(&m, Imports::new(), regs(Some(1 << 20))).unwrap();
+    inst.invoke("run", &[Value::I32(3)]).unwrap();
+    assert_eq!(inst.ran_on(), Engine::Bytecode);
+    let mut inst = Instance::with_config(&m, Imports::new(), regs(None)).unwrap();
+    inst.invoke_observed("run", &[Value::I32(3)], &mut CountingObserver::unit())
+        .unwrap();
+    assert_eq!(inst.ran_on(), Engine::Bytecode);
+    inst.invoke("run", &[Value::I32(3)]).unwrap();
+    assert_eq!(inst.ran_on(), Engine::Regs);
+    acctee_telemetry::reset();
+    assert!(deopts("fuel") > fuel0);
+    assert!(deopts("per_instr") > per_instr0);
+    let text = tel.metrics().export_prometheus();
+    assert!(text.contains("acctee_interp_deopts_total{reason=\"fuel\"}"));
 }
