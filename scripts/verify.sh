@@ -214,6 +214,12 @@ fi
 echo "==> fleet crate clippy gate (deny warnings)"
 cargo clippy --offline -q -p acctee-fleet --all-targets -- -D warnings
 
+echo "==> fleet_e2e x20 (join-order races must not reach tier-1)"
+for i in $(seq 1 20); do
+    cargo test --offline -q --test fleet_e2e >/dev/null 2>&1 \
+        || { echo "fleet_e2e failed on iteration $i"; cargo test --offline -q --test fleet_e2e; exit 1; }
+done
+
 echo "==> fleet loopback smoke (3 workers, 1 injected cheater, must detect)"
 FLEET_DIR="$(mktemp -d)"
 COORD_LOG="$(mktemp)"

@@ -171,6 +171,74 @@ fn result_flipping_cheater_is_detected_quarantined_and_unpaid() {
 }
 
 #[test]
+fn cheater_that_joins_first_never_checks_its_own_work() {
+    // The cheater is alone in the fleet when it pulls at redundancy
+    // 1.0. It must get one copy of each unit and no more: the second
+    // copies wait for a distinct node. Only then are honest peers
+    // admitted, and their copies expose the flipped results.
+    let cfg = FleetConfig {
+        redundancy: 1.0,
+        probation_checks: 0,
+        ..config("first-cheater")
+    };
+    let state_dir = cfg.state_dir.clone();
+    let units = 8u64;
+    let specs = UnitSpec::campaign(units, WorkloadKind::SubsetSum, 8, 7000);
+    let handle = spawn_coordinator(cfg, &specs);
+    let addr = handle.addr();
+    let cheat = spawn_worker(addr, "cheat", Behavior::FlipResult);
+    // Wait until the cheater has submitted one copy of every unit.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let r = handle.report();
+        let row = r.workers.iter().find(|w| w.name == "cheat");
+        if r.pending == units && r.inflight == 0 && row.is_some() {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "lone cheater never took its first copies: {r:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Several of its poll rounds later it still holds nothing more and
+    // has completed nothing on its own.
+    std::thread::sleep(Duration::from_millis(300));
+    let r = handle.report();
+    assert_eq!(r.completed, 0, "a lone node completed a redundant unit");
+    assert_eq!(r.pending, units);
+    assert_eq!(r.inflight, 0);
+    let honest: Vec<_> = (0..2)
+        .map(|i| spawn_worker(addr, &format!("honest-{i}"), Behavior::Honest))
+        .collect();
+    assert!(
+        handle.wait_done(Duration::from_secs(120)),
+        "campaign stalled"
+    );
+    let report = handle.report();
+    assert_eq!(report.completed, units);
+    assert!(report.checks_mismatched >= 1, "no mismatch ever detected");
+    let row = report.workers.iter().find(|w| w.name == "cheat").unwrap();
+    assert!(row.quarantined, "cheater not quarantined");
+    let statements = handle.reconcile(&ReconcileConfig::default()).unwrap();
+    let cheat_stmt = statements
+        .iter()
+        .find(|s| s.statement.worker == "cheat")
+        .unwrap();
+    assert_eq!(cheat_stmt.statement.paid_nano, 0);
+    assert_eq!(cheat_stmt.statement.units_credited, 0);
+    for h in honest {
+        assert_eq!(h.join().unwrap().exit, WorkerExit::CampaignDone);
+    }
+    assert!(matches!(
+        cheat.join().unwrap().exit,
+        WorkerExit::Quarantined(_)
+    ));
+    handle.stop();
+    std::fs::remove_dir_all(&state_dir).unwrap();
+}
+
+#[test]
 fn log_inflating_cheater_is_rejected_by_verification_alone() {
     // Inflating the counters breaks the quote binding — attestation
     // catches it on first contact, no redundancy needed.
