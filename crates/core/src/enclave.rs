@@ -204,9 +204,7 @@ pub struct ExecutionOutcome {
 /// grow before its size change; the other engines deliver the
 /// per-instruction stream. Both give the same integer.
 struct MemoryIntegral<'w> {
-    weights: &'w WeightTable,
-    /// Fingerprint of `weights` ([`InstrWeights::key`]).
-    key: [u8; 32],
+    weights: &'w InstrWeights,
     cur_mem: u64,
     integral: u128,
 }
@@ -230,7 +228,7 @@ impl Observer for MemoryIntegral<'_> {
     }
 
     fn block_weights(&self) -> Option<[u8; 32]> {
-        Some(self.key)
+        Some(self.weights.key())
     }
 }
 
@@ -239,10 +237,9 @@ impl Observer for MemoryIntegral<'_> {
 pub struct AccountingEnclave {
     enclave: Enclave,
     qe: QuotingEnclave,
-    weights: WeightTable,
-    /// `weights` for the interpreter, keyed by their hash (the hash
-    /// every evidence must carry).
-    instr_weights: InstrWeights,
+    /// The AE's weight table for the interpreter, keyed by its hash
+    /// (the hash every evidence must carry).
+    weights: InstrWeights,
     expected_ie: Measurement,
     /// Interpreter limits applied to workloads.
     pub exec_config: Config,
@@ -264,14 +261,12 @@ impl AccountingEnclave {
         expected_ie: Measurement,
     ) -> Self {
         let enclave = platform.create_enclave(&ae_code(&weights));
-        let table = weights.clone();
-        let instr_weights =
-            InstrWeights::new(sha256(&weights.to_bytes()), move |i| table.weight(i));
+        let key = sha256(&weights.to_bytes());
+        let weights = InstrWeights::new(key, move |i| weights.weight(i));
         AccountingEnclave {
             enclave,
             qe,
             weights,
-            instr_weights,
             expected_ie,
             exec_config: Config::default(),
         }
@@ -363,7 +358,7 @@ impl AccountingEnclave {
                 "module bytes do not match evidence".into(),
             ));
         }
-        if self.instr_weights.key() != evidence.weight_hash {
+        if self.weights.key() != evidence.weight_hash {
             return Err(AccTeeError::EvidenceMismatch(
                 "weight table differs from attested environment".into(),
             ));
@@ -374,7 +369,7 @@ impl AccountingEnclave {
             module,
             module_hash,
             counter_global: evidence.counter_global,
-            weights: self.instr_weights.clone(),
+            weights: self.weights.clone(),
             artifact: std::sync::OnceLock::new(),
         })
     }
@@ -419,7 +414,6 @@ impl AccountingEnclave {
         };
         let mut integral = MemoryIntegral {
             weights: &self.weights,
-            key: self.instr_weights.key(),
             cur_mem: instance.memory().map_or(0, |m| m.size_bytes() as u64),
             integral: 0,
         };

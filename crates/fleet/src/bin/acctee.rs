@@ -31,8 +31,7 @@
 //! acctee fleet coordinate --listen ADDR --state-dir DIR
 //!              [--units N] [--workload subsetsum|msieve] [--unit-count C]
 //!              [--redundancy F] [--probation N] [--deadline-ms N]
-//!              [--single-node] [--rate R] [--bonus B]
-//!                                          run a campaign: attested
+//!              [--rate R] [--bonus B]       run a campaign: attested
 //!                                          workers, durable dispatch,
 //!                                          spot checks, signed payouts
 //! acctee fleet work --connect ADDR --name N
@@ -155,7 +154,6 @@ struct Opts {
     unit_count: u32,
     redundancy: f64,
     probation: u32,
-    single_node: bool,
     deadline_ms: u64,
     name: String,
     behavior: String,
@@ -201,7 +199,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
         unit_count: 8,
         redundancy: 0.05,
         probation: 1,
-        single_node: false,
         deadline_ms: 10_000,
         name: "node".into(),
         behavior: "honest".into(),
@@ -270,7 +267,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
             "--unit-count" => o.unit_count = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
             "--redundancy" => o.redundancy = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
             "--probation" => o.probation = want(&mut it)?.parse().map_err(|e| format!("{e}"))?,
-            "--single-node" => o.single_node = true,
             "--deadline-ms" => {
                 o.deadline_ms = want(&mut it)?.parse().map_err(|e| format!("{e}"))?;
             }
@@ -369,7 +365,7 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("fleet coordinate:  --listen ADDR --state-dir DIR [--units N]");
             println!("                   --workload subsetsum|msieve --unit-count C");
             println!("                   --redundancy F --probation N --deadline-ms N");
-            println!("                   --single-node --rate R --bonus B --seed S");
+            println!("                   --rate R --bonus B --seed S");
             println!("fleet work:        --connect ADDR --name N [--capacity C]");
             println!("                   --behavior honest|flip|inflate|slow|rogue");
             println!("fleet status:      --connect ADDR");
@@ -1021,7 +1017,6 @@ fn cmd_fleet_coordinate(opts: &Opts) -> Result<(), String> {
         state_dir: std::path::PathBuf::from(state_dir),
         redundancy: opts.redundancy,
         probation_checks: opts.probation,
-        single_node: opts.single_node,
         deadline_ms: opts.deadline_ms,
         io_timeout: std::time::Duration::from_millis(opts.io_timeout_ms),
         ..FleetConfig::default()

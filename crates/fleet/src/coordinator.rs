@@ -57,13 +57,6 @@ pub struct FleetConfig {
     /// so a cheater is caught deterministically rather than only with
     /// sampling probability.
     pub probation_checks: u32,
-    /// Declares a single-node campaign, where cross-checking is
-    /// structurally impossible: redundant copies of a unit may then
-    /// run on the same node. Off by default. Otherwise a redundant
-    /// copy waits until a second distinct, unquarantined node pulls
-    /// it, however few nodes have joined so far — a node that
-    /// connects before its peers must never check its own work.
-    pub single_node: bool,
     /// Per-unit wall-clock budget for worker-side execution
     /// (milliseconds); enforced in-enclave via the interpreter's
     /// `DeadlineExceeded` trap.
@@ -88,7 +81,6 @@ impl Default for FleetConfig {
             state_dir: PathBuf::from("fleet-state"),
             redundancy: 0.05,
             probation_checks: 1,
-            single_node: false,
             deadline_ms: 10_000,
             deadline_growth: 4,
             straggler_factor: 4,
@@ -886,9 +878,6 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
     // queue — it gets at most its share of what is pending right now.
     let fair = st.pending.len().div_ceil(active).max(1);
     let want = (capacity.max(1) as usize).min(fair);
-    // Only the campaign setting may relax distinctness: the number of
-    // nodes joined so far says nothing about who joins next.
-    let sole = st.config.single_node;
     let mut granted: Vec<FleetUnit> = Vec::new();
     let mut skipped: Vec<u64> = Vec::new();
     while granted.len() < want {
@@ -905,18 +894,17 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
         }
         let involved = st.units[idx].subs.iter().any(|s| s.worker == name)
             || st.units[idx].live.iter().any(|a| a.worker == name);
-        // Redundant executions must come from distinct nodes — unless
-        // the campaign is declared single-node, where blocking would
-        // deadlock.
-        if involved && !sole {
+        // Redundant executions must come from distinct nodes, however
+        // few have joined so far: a node that connects before its
+        // peers must never check its own work, so the copy waits.
+        if involved {
             skipped.push(unit_id);
             continue;
         }
         // Probation: a new node's first units are force-promoted to
         // spot checks so its honesty is tested deterministically.
-        let promote = st.workers.get(&name).is_some_and(|w| w.probation > 0)
-            && st.units[idx].checks == 0
-            && !sole;
+        let promote =
+            st.workers.get(&name).is_some_and(|w| w.probation > 0) && st.units[idx].checks == 0;
         if promote {
             if let Err(e) = st.journal.check_scheduled(unit_id) {
                 // Journal failure: put the ticket back and fail the
@@ -974,7 +962,7 @@ fn handle_pull(st: &mut State, worker_id: u64, capacity: u32) -> Response {
     // Work stealing: an idle node with nothing pending duplicates an
     // assignment currently held by a backlogged peer. First verified
     // submission wins; the loser's is acknowledged stale.
-    if granted.is_empty() && !sole {
+    if granted.is_empty() {
         let idle = st.workers.get(&name).is_none_or(|w| w.live == 0);
         if idle && st.pending.is_empty() {
             let victim = st
@@ -1165,6 +1153,5 @@ mod tests {
         assert!(c.redundancy > 0.0 && c.redundancy < 1.0);
         assert!(c.deadline_growth >= 2);
         assert!(c.probation_checks >= 1);
-        assert!(!c.single_node);
     }
 }

@@ -66,7 +66,7 @@ impl InstrWeights {
     }
 
     /// The weight of one executed instruction.
-    pub(crate) fn weight(&self, instr: &Instr) -> u64 {
+    pub fn weight(&self, instr: &Instr) -> u64 {
         (self.weight)(instr)
     }
 }
