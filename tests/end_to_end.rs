@@ -164,3 +164,135 @@ fn accounting_is_deterministic_across_runs_and_platforms() {
         .collect();
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
 }
+
+/// Golden signatures: every digest, MAC and seal the protocol emits is
+/// pinned to bytes recorded from the original scalar SHA-256 and
+/// per-call HMAC implementation. WAL and fleet-journal records carry
+/// these quotes, so any drift here would make records signed by an
+/// older build fail verification after replay.
+#[test]
+fn signatures_are_byte_identical_to_golden() {
+    use acctee_sgx::crypto::{hex, sha256};
+    use acctee_sgx::enclave::report_data;
+    use acctee_sgx::{AttestationAuthority, Platform};
+
+    // Raw SGX layer: a local report MAC, its quote, and a seal long
+    // enough to need three keystream blocks.
+    let authority = AttestationAuthority::new(0x901d);
+    let platform = Platform::new("golden-host", 13);
+    let qe = authority.provision(&platform);
+    let enclave = platform.create_enclave(b"golden-enclave-code");
+    let report = enclave.report(report_data(b"golden report data"));
+    let quote = qe.quote(&report).expect("quote");
+    assert_eq!(authority.verify(&quote), Ok(enclave.measurement()));
+    let payload: Vec<u8> = (0..70u8).collect();
+    let sealed = acctee_sgx::seal::seal(&enclave, [0x5e; 16], &payload);
+    let raw = [
+        (
+            "report mac",
+            hex(&report.mac),
+            "3006b318b4684f11977919679f0fefe5965685ca10139a8dd0d3e9ada9b034bb",
+        ),
+        (
+            "quote signature",
+            hex(&quote.signature),
+            "34a833de8297503d6c00e3db258b4f7596bec87d6c865b5044134e81716ed3fe",
+        ),
+        (
+            "seal key",
+            hex(&enclave.seal_key()),
+            "e8729dacc668f8ff584bbf8e65bba22f54839e2f907b5ffb2a730eb52f66f970",
+        ),
+        (
+            "sealed ciphertext digest",
+            hex(&sha256(&sealed.ciphertext)),
+            "904200281a74f1350a0f4080a7a3b39ca8a7d5100d02b9c7010d19cce39df00e",
+        ),
+        (
+            "sealed tag",
+            hex(&sealed.tag),
+            "68ac483eedd20cb1b87f983672d87018c43203a9aa3dac9d70f4cef815e3c79a",
+        ),
+    ];
+
+    // Protocol layer: instrumentation evidence and a signed usage log
+    // from a fixed-seed deployment under the uniform weight table.
+    let module = acctee_wasm::text::parse_module(
+        r#"(module
+             (memory 1)
+             (func $sum (param $n i32) (result i32) (local $acc i32)
+               block $done
+                 loop $top
+                   local.get $n
+                   i32.eqz
+                   br_if $done
+                   local.get $acc
+                   local.get $n
+                   i32.add
+                   local.set $acc
+                   local.get $n
+                   i32.const 1
+                   i32.sub
+                   local.set $n
+                   br $top
+                 end
+               end
+               local.get $acc)
+             (export "sum" (func $sum)))"#,
+    )
+    .expect("parse");
+    let mut dep = Deployment::with_weights(0x901d, WeightTable::uniform());
+    let (bytes, evidence) = dep
+        .instrument(&encode_module(&module), Level::LoopBased)
+        .expect("instrument");
+    let outcome = dep
+        .execute(&bytes, &evidence, "sum", &[Value::I32(10)], b"")
+        .expect("execute");
+    assert_eq!(outcome.results, vec![Value::I32(55)]);
+    let ae_sealed = dep
+        .infrastructure()
+        .accounting_enclave()
+        .seal_state([0xa5; 16], b"accounting enclave state");
+    let protocol = [
+        (
+            "instrumented hash",
+            hex(&evidence.instrumented_hash),
+            "5b807fe02a9a598a398b3bbfc5f56ee83c4b18a4e3a63e3e436bbc2b5c52178d",
+        ),
+        (
+            "evidence signature",
+            hex(&evidence.quote.signature),
+            "f6b49eb355cc9f5f091588da99ed8acddda163da2955341f96814bdf0824db9e",
+        ),
+        (
+            "log binding",
+            hex(&outcome.log.log.binding()),
+            "d5da43af057c9c9e01f7e3ccd1ef4a05d5660d8018cf3d0af3aa4197671dbe3a",
+        ),
+        (
+            "log signature",
+            hex(&outcome.log.quote.signature),
+            "3a3720c9515eedcafa17b4a419219f1e3b431458b26bdb80127c5b1f9fb2d0bb",
+        ),
+        (
+            "ae sealed tag",
+            hex(&ae_sealed.tag),
+            "22101eaf2373609205e4b66cbbcc1192faf9d8ae824c378bcea4064ff6e533f2",
+        ),
+    ];
+    for (what, got, want) in raw.iter().chain(&protocol) {
+        assert_eq!(got, want, "{what} drifted from the golden bytes");
+    }
+    // The unseal path must still accept both golden seals.
+    assert_eq!(
+        acctee_sgx::seal::unseal(&enclave, &sealed).as_deref(),
+        Some(&payload[..])
+    );
+    assert_eq!(
+        dep.infrastructure()
+            .accounting_enclave()
+            .unseal_state(&ae_sealed)
+            .as_deref(),
+        Some(&b"accounting enclave state"[..])
+    );
+}
