@@ -608,6 +608,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         fsync: opts.fsync,
     };
     let server = Server::bind(addr, config).map_err(|e| e.to_string())?;
+    // A portable-kernel fallback makes every signature several times
+    // slower; say which one runs before serving.
+    println!("sha256 kernel {}", acctee_sgx::crypto::sha256_kernel());
     // Scripts scrape this line for the ephemeral port; flush so it is
     // visible before the (blocking) serve loop starts.
     println!("listening on {}", server.local_addr());
@@ -851,14 +854,15 @@ fn fmt_ns(ns: u64) -> String {
 
 fn print_snapshot(s: &acctee_net::StatsSnapshot) {
     println!(
-        "uptime {}  workers {}/{} busy  queue {}/{}  connections {} total / {} active",
+        "uptime {}  workers {}/{} busy  queue {}/{}  connections {} total / {} active  sha256 {}",
         fmt_ns(s.uptime_ns),
         s.workers_busy,
         s.workers,
         s.queue_depth,
         s.queue_capacity,
         s.connections_total,
-        s.connections_active
+        s.connections_active,
+        s.sha256_kernel
     );
     let kinds: Vec<String> = s
         .requests_by_kind

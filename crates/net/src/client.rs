@@ -543,7 +543,7 @@ impl Client {
             )));
         }
         if let Some(handle) = handle {
-            if log.log.module_hash != sha256(&handle.module) {
+            if log.log.module_hash != handle.evidence.instrumented_hash {
                 return Err(NetError::Verification(
                     "log accounts a different module than the one deployed".into(),
                 ));

@@ -202,6 +202,9 @@ pub struct StatsSnapshot {
     pub latency: LatencySummary,
     /// Per-stage latency (every stage in [`STAGES`]).
     pub stages: Vec<(String, LatencySummary)>,
+    /// The SHA-256 kernel signing and verifying on this server
+    /// (`"sha-ni"` or `"portable"`).
+    pub sha256_kernel: String,
 }
 
 impl StatsSnapshot {
@@ -638,6 +641,7 @@ impl ServerStats {
             tenants,
             latency,
             stages,
+            sha256_kernel: acctee_sgx::crypto::sha256_kernel().to_string(),
         }
     }
 
@@ -685,6 +689,12 @@ impl ServerStats {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
         }
+        let _ = writeln!(out, "# TYPE acctee_sha256_kernel_info gauge");
+        let _ = writeln!(
+            out,
+            "acctee_sha256_kernel_info{{kernel=\"{}\"}} 1",
+            acctee_sgx::crypto::sha256_kernel()
+        );
 
         let snapshot_tenants = {
             let accum = self.fold_tenants();
@@ -873,5 +883,12 @@ mod tests {
             Some(1.0)
         );
         assert_eq!(exp.sum("acctee_net_shed_total"), 1.0);
+        assert_eq!(
+            exp.value(
+                "acctee_sha256_kernel_info",
+                &[("kernel", acctee_sgx::crypto::sha256_kernel())]
+            ),
+            Some(1.0)
+        );
     }
 }

@@ -45,8 +45,9 @@ pub const MAGIC: [u8; 4] = *b"ACNT";
 /// `Deploy`/`Invoke` and the `Stats`/`Health`/`Recent` telemetry
 /// frames. Version 3 added the fleet coordination frames
 /// (`FleetHello` .. `FleetStatus`) for distributed volunteer
-/// campaigns.
-pub const WIRE_VERSION: u16 = 3;
+/// campaigns. Version 4 added the server's SHA-256 kernel to the
+/// `StatsOk` snapshot.
+pub const WIRE_VERSION: u16 = 4;
 /// Upper bound on a frame payload (modules included).
 pub const MAX_PAYLOAD: u32 = 32 * 1024 * 1024;
 
@@ -564,6 +565,7 @@ fn put_snapshot(out: &mut Vec<u8>, s: &StatsSnapshot) {
         put_bytes(out, stage.as_bytes());
         put_latency(out, l);
     }
+    put_bytes(out, s.sha256_kernel.as_bytes());
 }
 
 fn put_fleet_unit(out: &mut Vec<u8>, u: &FleetUnit) {
@@ -1094,6 +1096,7 @@ impl<'a> Cursor<'a> {
         for _ in 0..n {
             stages.push((self.string()?, self.latency()?));
         }
+        let sha256_kernel = self.string()?;
         Ok(StatsSnapshot {
             uptime_ns,
             workers,
@@ -1111,6 +1114,7 @@ impl<'a> Cursor<'a> {
             tenants,
             latency,
             stages,
+            sha256_kernel,
         })
     }
 
@@ -1529,6 +1533,7 @@ mod tests {
                     p99_ns: 200_000,
                 },
             )],
+            sha256_kernel: "sha-ni".into(),
         }
     }
 

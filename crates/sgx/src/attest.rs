@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::crypto::{digest_eq, hmac_sha256, Digest};
+use crate::crypto::{digest_eq, hmac_sha256, Digest, HmacKey};
 use crate::enclave::{Measurement, Platform, Report};
 
 /// Why attestation failed.
@@ -54,12 +54,12 @@ pub struct Quote {
 }
 
 impl Quote {
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32 + 64 + self.platform.len());
-        p.extend_from_slice(&self.mrenclave.0);
-        p.extend_from_slice(&self.report_data);
-        p.extend_from_slice(self.platform.as_bytes());
-        p
+    fn mac(&self, key: &HmacKey) -> Digest {
+        key.mac(&[
+            &self.mrenclave.0,
+            &self.report_data,
+            self.platform.as_bytes(),
+        ])
     }
 }
 
@@ -68,7 +68,9 @@ impl Quote {
 #[derive(Debug, Clone)]
 pub struct AttestationAuthority {
     root: Digest,
-    registered: Arc<Mutex<HashMap<String, ()>>>,
+    /// Each registered platform's quote key, derived once at
+    /// registration rather than on every verification.
+    registered: Arc<Mutex<HashMap<String, HmacKey>>>,
 }
 
 impl AttestationAuthority {
@@ -82,20 +84,22 @@ impl AttestationAuthority {
         }
     }
 
-    fn platform_quote_key(&self, platform: &str) -> Digest {
-        hmac_sha256(&self.root, platform.as_bytes())
+    /// Registers `platform` as genuine and returns its quote key.
+    fn register(&self, platform: &str) -> HmacKey {
+        let key = HmacKey::new(&hmac_sha256(&self.root, platform.as_bytes()));
+        self.registered
+            .lock()
+            .expect("registry lock")
+            .insert(platform.to_string(), key.clone());
+        key
     }
 
     /// Provisions a platform's quoting enclave, returning it. This is
     /// the moment the authority decides the platform is genuine.
     pub fn provision(&self, platform: &Platform) -> QuotingEnclave {
-        self.registered
-            .lock()
-            .expect("registry lock")
-            .insert(platform.name.clone(), ());
         QuotingEnclave {
             platform: platform.clone(),
-            quote_key: self.platform_quote_key(&platform.name),
+            quote_key: self.register(&platform.name),
         }
     }
 
@@ -107,10 +111,7 @@ impl AttestationAuthority {
     /// accept quotes from the well-known platform names it audited,
     /// without ever holding those platforms' quoting keys.
     pub fn recognize(&self, platform_name: &str) {
-        self.registered
-            .lock()
-            .expect("registry lock")
-            .insert(platform_name.to_string(), ());
+        self.register(platform_name);
     }
 
     /// Verifies a quote, returning the attested measurement.
@@ -121,16 +122,14 @@ impl AttestationAuthority {
     /// provisioned; [`AttestationError::BadQuote`] if the signature
     /// does not verify.
     pub fn verify(&self, quote: &Quote) -> Result<Measurement, AttestationError> {
-        if !self
+        let key = self
             .registered
             .lock()
             .expect("registry lock")
-            .contains_key(&quote.platform)
-        {
-            return Err(AttestationError::UnknownPlatform);
-        }
-        let key = self.platform_quote_key(&quote.platform);
-        let expected = hmac_sha256(&key, &quote.payload());
+            .get(&quote.platform)
+            .cloned()
+            .ok_or(AttestationError::UnknownPlatform)?;
+        let expected = quote.mac(&key);
         if !digest_eq(&expected, &quote.signature) {
             return Err(AttestationError::BadQuote);
         }
@@ -143,7 +142,7 @@ impl AttestationAuthority {
 #[derive(Debug, Clone)]
 pub struct QuotingEnclave {
     platform: Platform,
-    quote_key: Digest,
+    quote_key: HmacKey,
 }
 
 impl QuotingEnclave {
@@ -163,7 +162,7 @@ impl QuotingEnclave {
             platform: self.platform.name.clone(),
             signature: [0; 32],
         };
-        q.signature = hmac_sha256(&self.quote_key, &q.payload());
+        q.signature = q.mac(&self.quote_key);
         Ok(q)
     }
 }

@@ -1,6 +1,6 @@
 //! Enclave lifecycle: platforms, measurements, reports.
 
-use crate::crypto::{digest_eq, hex, hmac_sha256, sha256, Digest};
+use crate::crypto::{digest_eq, hex, sha256, Digest, HmacKey};
 
 /// An enclave measurement (MRENCLAVE): the SHA-256 of the enclave's
 /// code and configuration.
@@ -40,11 +40,8 @@ pub struct Report {
 }
 
 impl Report {
-    fn payload(mrenclave: &Measurement, report_data: &[u8; 64]) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32 + 64);
-        p.extend_from_slice(&mrenclave.0);
-        p.extend_from_slice(report_data);
-        p
+    fn mac(key: &HmacKey, mrenclave: &Measurement, report_data: &[u8; 64]) -> Digest {
+        key.mac(&[&mrenclave.0, report_data])
     }
 }
 
@@ -52,7 +49,7 @@ impl Report {
 /// links enclaves to the local quoting enclave.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    platform_key: Digest,
+    report_key: HmacKey,
     /// A stable identifier for logs.
     pub name: String,
 }
@@ -66,7 +63,7 @@ impl Platform {
         material.extend_from_slice(name.as_bytes());
         material.extend_from_slice(&seed.to_le_bytes());
         Platform {
-            platform_key: sha256(&material),
+            report_key: HmacKey::new(&sha256(&material)),
             name: name.to_string(),
         }
     }
@@ -75,17 +72,14 @@ impl Platform {
     pub fn create_enclave(&self, code: &[u8]) -> Enclave {
         Enclave {
             mrenclave: Measurement::of(code),
-            platform_key: self.platform_key,
+            report_key: self.report_key.clone(),
         }
     }
 
     /// Verifies a report produced by an enclave on this platform
     /// (local attestation, used by the quoting enclave).
     pub fn verify_report(&self, report: &Report) -> bool {
-        let expected = hmac_sha256(
-            &self.platform_key,
-            &Report::payload(&report.mrenclave, &report.report_data),
-        );
+        let expected = Report::mac(&self.report_key, &report.mrenclave, &report.report_data);
         digest_eq(&expected, &report.mac)
     }
 }
@@ -95,7 +89,7 @@ impl Platform {
 #[derive(Debug, Clone)]
 pub struct Enclave {
     mrenclave: Measurement,
-    platform_key: Digest,
+    report_key: HmacKey,
 }
 
 impl Enclave {
@@ -106,10 +100,7 @@ impl Enclave {
 
     /// Produces a local-attestation report binding `report_data`.
     pub fn report(&self, report_data: [u8; 64]) -> Report {
-        let mac = hmac_sha256(
-            &self.platform_key,
-            &Report::payload(&self.mrenclave, &report_data),
-        );
+        let mac = Report::mac(&self.report_key, &self.mrenclave, &report_data);
         Report {
             mrenclave: self.mrenclave,
             report_data,
@@ -120,10 +111,7 @@ impl Enclave {
     /// Derives the enclave's sealing key (stable across restarts on the
     /// same platform for the same measurement).
     pub fn seal_key(&self) -> Digest {
-        let mut material = Vec::new();
-        material.extend_from_slice(b"seal");
-        material.extend_from_slice(&self.mrenclave.0);
-        hmac_sha256(&self.platform_key, &material)
+        self.report_key.mac(&[b"seal", &self.mrenclave.0])
     }
 }
 

@@ -7,7 +7,7 @@
 //! the confidentiality + integrity contract the AccTEE protocol needs
 //! within the simulation.
 
-use crate::crypto::{digest_eq, hmac_sha256, Digest};
+use crate::crypto::{digest_eq, Digest, HmacKey};
 use crate::enclave::Enclave;
 
 /// A sealed blob: nonce, ciphertext and integrity tag.
@@ -21,40 +21,45 @@ pub struct Sealed {
     pub tag: Digest,
 }
 
-fn keystream_block(key: &Digest, nonce: &[u8; 16], counter: u64) -> Digest {
-    let mut input = Vec::with_capacity(16 + 8);
-    input.extend_from_slice(nonce);
-    input.extend_from_slice(&counter.to_le_bytes());
-    hmac_sha256(key, &input)
+/// The two keys derived from an enclave's sealing key, prepared once
+/// per seal or unseal.
+struct SealKeys {
+    enc: HmacKey,
+    mac: HmacKey,
 }
 
-fn apply_keystream(key: &Digest, nonce: &[u8; 16], data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(32).enumerate() {
-        let ks = keystream_block(key, nonce, i as u64);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
+impl SealKeys {
+    fn of(enclave: &Enclave) -> SealKeys {
+        let sk = HmacKey::new(&enclave.seal_key());
+        SealKeys {
+            enc: HmacKey::new(&sk.mac(&[b"seal-enc"])),
+            mac: HmacKey::new(&sk.mac(&[b"seal-mac"])),
         }
     }
-}
 
-fn mac_key(seal_key: &Digest) -> Digest {
-    hmac_sha256(seal_key, b"seal-mac")
-}
+    /// XORs `data` with the keystream HMAC(enc, nonce || counter).
+    fn apply_keystream(&self, nonce: &[u8; 16], data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(32).enumerate() {
+            let ks = self.enc.mac(&[nonce, &(i as u64).to_le_bytes()]);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
+        }
+    }
 
-fn enc_key(seal_key: &Digest) -> Digest {
-    hmac_sha256(seal_key, b"seal-enc")
+    fn tag(&self, nonce: &[u8; 16], ciphertext: &[u8]) -> Digest {
+        self.mac.mac(&[nonce, ciphertext])
+    }
 }
 
 /// Seals `data` to `enclave`'s identity. The nonce must be unique per
 /// seal; the caller supplies it (deterministic tests pass fixed
 /// nonces, production embedders pass fresh randomness).
 pub fn seal(enclave: &Enclave, nonce: [u8; 16], data: &[u8]) -> Sealed {
-    let sk = enclave.seal_key();
+    let keys = SealKeys::of(enclave);
     let mut ciphertext = data.to_vec();
-    apply_keystream(&enc_key(&sk), &nonce, &mut ciphertext);
-    let mut macd = nonce.to_vec();
-    macd.extend_from_slice(&ciphertext);
-    let tag = hmac_sha256(&mac_key(&sk), &macd);
+    keys.apply_keystream(&nonce, &mut ciphertext);
+    let tag = keys.tag(&nonce, &ciphertext);
     Sealed {
         nonce,
         ciphertext,
@@ -69,15 +74,13 @@ pub fn seal(enclave: &Enclave, nonce: [u8; 16], data: &[u8]) -> Sealed {
 ///
 /// Returns `Err(())`-like `None` when the tag does not verify.
 pub fn unseal(enclave: &Enclave, sealed: &Sealed) -> Option<Vec<u8>> {
-    let sk = enclave.seal_key();
-    let mut macd = sealed.nonce.to_vec();
-    macd.extend_from_slice(&sealed.ciphertext);
-    let expected = hmac_sha256(&mac_key(&sk), &macd);
+    let keys = SealKeys::of(enclave);
+    let expected = keys.tag(&sealed.nonce, &sealed.ciphertext);
     if !digest_eq(&expected, &sealed.tag) {
         return None;
     }
     let mut plain = sealed.ciphertext.clone();
-    apply_keystream(&enc_key(&sk), &sealed.nonce, &mut plain);
+    keys.apply_keystream(&sealed.nonce, &mut plain);
     Some(plain)
 }
 

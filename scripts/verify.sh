@@ -220,6 +220,12 @@ for i in $(seq 1 20); do
         || { echo "fleet_e2e failed on iteration $i"; cargo test --offline -q --test fleet_e2e; exit 1; }
 done
 
+echo "==> fleet_e2e --release x10 (fast units must not outrun the resume crash point)"
+for i in $(seq 1 10); do
+    cargo test --release --offline -q --test fleet_e2e >/dev/null 2>&1 \
+        || { echo "release fleet_e2e failed on iteration $i"; cargo test --release --offline -q --test fleet_e2e; exit 1; }
+done
+
 echo "==> fleet loopback smoke (3 workers, 1 injected cheater, must detect)"
 FLEET_DIR="$(mktemp -d)"
 COORD_LOG="$(mktemp)"

@@ -131,10 +131,25 @@ fn result_flipping_cheater_is_detected_quarantined_and_unpaid() {
     let specs = UnitSpec::campaign(8, WorkloadKind::SubsetSum, 8, 2000);
     let handle = spawn_coordinator(cfg, &specs);
     let addr = handle.addr();
+    // The cheater takes work before its peers exist, so two fast
+    // honest nodes cannot drain the campaign before it joins.
+    let tickets = handle.report().pending;
+    let cheat = spawn_worker(addr, "cheat", Behavior::FlipResult);
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let r = handle.report();
+        if r.workers.iter().any(|w| w.name == "cheat") && (r.inflight > 0 || r.pending < tickets) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "cheater never took work: {r:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let honest: Vec<_> = (0..2)
         .map(|i| spawn_worker(addr, &format!("honest-{i}"), Behavior::Honest))
         .collect();
-    let cheat = spawn_worker(addr, "cheat", Behavior::FlipResult);
     assert!(
         handle.wait_done(Duration::from_secs(120)),
         "campaign stalled"
@@ -251,8 +266,11 @@ fn log_inflating_cheater_is_rejected_by_verification_alone() {
     let specs = UnitSpec::campaign(6, WorkloadKind::SubsetSum, 8, 3000);
     let handle = spawn_coordinator(cfg, &specs);
     let addr = handle.addr();
-    let honest = spawn_worker(addr, "honest", Behavior::Honest);
+    // The cheater runs alone until it is thrown out, so a fast honest
+    // node cannot finish every unit before the cheater submits one.
     let cheat = spawn_worker(addr, "inflate", Behavior::InflateWic);
+    let summary = cheat.join().unwrap();
+    let honest = spawn_worker(addr, "honest", Behavior::Honest);
     assert!(
         handle.wait_done(Duration::from_secs(120)),
         "campaign stalled"
@@ -263,7 +281,6 @@ fn log_inflating_cheater_is_rejected_by_verification_alone() {
     let row = report.workers.iter().find(|w| w.name == "inflate").unwrap();
     assert!(row.quarantined);
     assert_eq!(honest.join().unwrap().exit, WorkerExit::CampaignDone);
-    let summary = cheat.join().unwrap();
     assert!(summary.rejected >= 1 || matches!(summary.exit, WorkerExit::Quarantined(_)));
     handle.stop();
     std::fs::remove_dir_all(&state_dir).unwrap();
@@ -352,8 +369,12 @@ fn killed_coordinator_resumes_without_losing_or_double_crediting() {
     let specs = UnitSpec::campaign(12, WorkloadKind::SubsetSum, 8, 6000);
     let handle = spawn_coordinator(cfg.clone(), &specs);
     let addr = handle.addr();
+    // Phase-1 workers hold every result for 500 ms before submitting,
+    // so two of them need at least 5 × 500 ms for the 9+ units left
+    // after the third completion: the crash point lands mid-campaign
+    // however fast a unit executes.
     let w1: Vec<_> = (0..2)
-        .map(|i| spawn_worker(addr, &format!("early-{i}"), Behavior::Honest))
+        .map(|i| spawn_worker(addr, &format!("early-{i}"), Behavior::Slow(500)))
         .collect();
     // Let some units complete, then pull the plug.
     let deadline = std::time::Instant::now() + Duration::from_secs(60);

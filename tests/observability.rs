@@ -234,3 +234,31 @@ fn billed_execute_records_its_tier_and_deopts_are_counted() {
     let text = tel.metrics().export_prometheus();
     assert!(text.contains("acctee_interp_deopts_total{reason=\"fuel\"}"));
 }
+
+/// The SHA-256 kernel behind every signature is visible from outside:
+/// a portable fallback shows up in both the Prometheus scrape and the
+/// structured snapshot instead of only as slower signing.
+#[test]
+fn serving_node_exports_its_sha256_kernel() {
+    // The server feeds the global hub; keep it off other tests' spans.
+    let _guard = telemetry_lock();
+    let kernel = acctee_sgx::crypto::sha256_kernel();
+    assert!(["sha-ni", "portable"].contains(&kernel), "{kernel}");
+    let (addr, handle) =
+        acctee_net::Server::bind("127.0.0.1:0", acctee_net::ServerConfig::default())
+            .expect("bind ephemeral port")
+            .spawn();
+    let anchor = acctee_net::TrustAnchor::new(acctee_net::ServerConfig::default().seed);
+    let mut client = acctee_net::Client::connect(addr, anchor, std::time::Duration::from_secs(10))
+        .expect("connect + attest");
+    let text = client.stats_prometheus().expect("scrape");
+    let exp = acctee_telemetry::parse_prometheus(&text).expect("strictly parseable");
+    assert_eq!(
+        exp.value("acctee_sha256_kernel_info", &[("kernel", kernel)]),
+        Some(1.0),
+        "{text}"
+    );
+    assert_eq!(client.stats().expect("snapshot").sha256_kernel, kernel);
+    client.shutdown().expect("shutdown accepted");
+    handle.join().expect("server drains and exits");
+}
